@@ -78,6 +78,7 @@ def child(argv: list[str]) -> None:
         trace_schedule(tracer)
 
     first: list[float] = []
+    cpu_first: list[float] = []
     seconds: dict[str, float] = {}
     data: dict[str, dict] = {}
 
@@ -90,6 +91,7 @@ def child(argv: list[str]) -> None:
     def run_experiment(name: str):
         if not first:
             first.append(time.monotonic())
+            cpu_first.append(time.process_time())
             if args.setup_only:
                 raise _SetupDone
         start = time.perf_counter()
@@ -110,11 +112,13 @@ def child(argv: list[str]) -> None:
         proc.emit({"first": first[0]})
         return
     end = time.monotonic()
+    cpu = time.process_time() - cpu_first[0]
     if code != 0:
         raise SystemExit(f"repro-experiments exited {code}")
     payload = {
         "first": first[0],
         "wall_s": end - first[0],
+        "cpu_s": cpu,
         "seconds": seconds,
         "checks": _golden_checks(data),
         "written": sorted(_files_under(proc.ROOT / "results") - before),
@@ -152,6 +156,8 @@ def _untraced(out: Outcome, seconds: float) -> None:
     out.put("wall_s", statistics.median(walls), "s", len(walls))
     # the unit of work is one regeneration, so its latency is the wall time
     out.put_percentiles("", [w * 1e3 for w in walls])
+    out.put("cpu_ms", statistics.median(r["cpu_s"] for r in runs) * 1e3, "ms",
+            len(runs))
     out.put("peak_rss_mib", max(r["peak_rss_mib"] for r in runs), "MiB", len(runs))
     for name in runs[0]["seconds"]:
         out.put(f"experiment.{name}_s",

@@ -23,6 +23,10 @@ def child_env() -> dict[str, str]:
     """The environment of every process the benchmark starts."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
+    # one compute thread per process: idle BLAS threads that spin would
+    # add CPU time that depends on what else the machine runs
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
     env.pop("REPRO_FAULTS", None)
     return env
 

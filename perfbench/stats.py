@@ -56,6 +56,38 @@ def fingerprint() -> dict[str, object]:
     }
 
 
+def read_cpu_ns(pid: int) -> int:
+    """CPU time a live process has run, all its threads, in nanoseconds.
+
+    The first field of each thread's ``/proc/<pid>/task/<tid>/schedstat``
+    is its time on a CPU, the same clock ``time.process_time_ns`` reads
+    for the calling process.  On a guest kernel that accounts steal time
+    (``CONFIG_PARAVIRT_TIME_ACCOUNTING``), time the host gave to other
+    guests is not in it, which is why the gated ``cpu_ms`` reads steadier
+    than any wall time on a shared machine.
+    """
+    total = 0
+    for task in os.scandir(f"/proc/{pid}/task"):
+        try:
+            with open(os.path.join(task.path, "schedstat")) as fh:
+                total += int(fh.read().split()[0])
+        except FileNotFoundError:  # the thread ended after the listing
+            pass
+    return total
+
+
+def cpu_ticks() -> tuple[int, int]:
+    """(stolen, all) CPU ticks of the machine so far, from ``/proc/stat``.
+
+    Stolen ticks are those the host gave another guest while this one
+    had work; their share over a run says how busy the host was.
+    """
+    with open("/proc/stat") as fh:
+        fields = [int(v) for v in fh.readline().split()[1:]]
+    steal = fields[7] if len(fields) > 7 else 0
+    return steal, sum(fields[:8])
+
+
 def peak_rss_mib() -> float:
     """This process's peak resident set size (``VmHWM``) in MiB."""
     return read_peak_rss_mib(os.getpid())

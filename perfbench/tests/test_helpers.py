@@ -4,7 +4,9 @@ Run from the repository root with ``python3 -m pytest perfbench/tests -q``.
 """
 
 import math
+import os
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -24,7 +26,7 @@ from serve_bench import (  # noqa: E402
     cold_cell,
 )
 from spans import Tracer, covered_ns, layer_table, self_times_ns  # noqa: E402
-from stats import Outcome, percentile, quartiles  # noqa: E402
+from stats import Outcome, percentile, quartiles, read_cpu_ns  # noqa: E402
 
 
 class TestPercentile:
@@ -53,6 +55,18 @@ class TestPercentile:
 
     def test_quartiles_single_value(self):
         assert quartiles([4.0]) == (4.0, 4.0, 4.0)
+
+    def test_cpu_of_a_process_counts_its_work_not_its_sleep(self):
+        pid = os.getpid()
+        before = read_cpu_ns(pid)
+        time.sleep(0.05)
+        slept = read_cpu_ns(pid) - before
+        start = time.process_time_ns()
+        while time.process_time_ns() - start < 50_000_000:
+            pass
+        busy = read_cpu_ns(pid) - before - slept
+        assert slept < 10_000_000
+        assert busy >= 40_000_000
 
 
 class TestSelfTime:

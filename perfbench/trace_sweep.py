@@ -103,6 +103,7 @@ def child(argv: list[str]) -> None:
     # the first sweep is a warm-up; at least one more is measured
     while len(sweeps) < 2 or time.monotonic() < first + args.seconds:
         start = time.perf_counter()
+        cpu_start = time.process_time()
         cell_s, outputs, agree = [], [], 0
         cycles = l1 = l1_access = l2 = l2_access = 0
         for spec, hw, x, w, algos in cells:
@@ -132,6 +133,7 @@ def child(argv: list[str]) -> None:
             cell_s.append(time.perf_counter() - cell_start)
             agree += min(traced, key=traced.get) == min(analytical, key=analytical.get)
         wall = time.perf_counter() - start
+        cpu = time.process_time() - cpu_start
         # outside the timed region: every kernel output against the reference
         failed = 0
         for key, spec, x, w, out in outputs:
@@ -142,7 +144,7 @@ def child(argv: list[str]) -> None:
             failed += not (out.shape == ref.shape
                            and float(np.abs(out - ref).max()) <= 1e-3 * scale)
         sweeps.append({
-            "wall_s": wall, "cell_s": cell_s, "agree": agree / len(cells),
+            "wall_s": wall, "cpu_s": cpu, "cell_s": cell_s, "agree": agree / len(cells),
             "attempted": len(outputs), "failed": failed, "cycles": cycles,
             "l1_miss_rate": l1 / l1_access, "l2_miss_rate": l2 / l2_access,
         })
@@ -177,6 +179,8 @@ def measure(seed: int, seconds: float, traced: bool) -> Outcome:
     out.put("wall_s", wall, "s", len(walls))
     # the unit of work is one sweep over the cells
     out.put_percentiles("", [w * 1e3 for w in walls])
+    cpus = [s["cpu_s"] * 1e3 for s in sweeps[1:]]
+    out.put("cpu_ms", statistics.median(cpus), "ms", len(cpus))
     out.put("peak_rss_mib", res["peak_rss_mib"], "MiB", 1)
     out.put("top1_agree", sweeps[0]["agree"], "frac", res["cells"])
     out.put("sim.cycles_total", sweeps[0]["cycles"], "count", 1)
