@@ -2,7 +2,7 @@
 
 Given a network and an area budget, search vector length x cache x core
 count jointly with the algorithm policy, then stress the recommended design
-with the discrete-event serving simulator to see its latency under load —
+with a virtual-clock replay of Poisson traffic to see its latency under load —
 the end-to-end version of the papers' "co-design for model serving" message.
 
 Run:  python examples/design_recommender.py [area_budget_mm2]
@@ -11,7 +11,8 @@ Run:  python examples/design_recommender.py [area_budget_mm2]
 import sys
 
 from repro.nn.models import vgg16_conv_specs
-from repro.serving import ServingSimulator, recommend_design
+from repro.serve import FixedServiceTime, TraceSpec, generate_trace, replay
+from repro.serving import recommend_design
 from repro.serving.colocation import ColocationScenario, evaluate_colocation
 from repro.utils.tables import Table
 
@@ -39,14 +40,19 @@ def main(budget_mm2: float = 40.0) -> None:
         shared_l2_mib=rec.shared_l2_mib, instances=rec.cores,
         policy="optimal",
     )
-    sim = ServingSimulator.from_colocation(
-        evaluate_colocation(scenario, specs), seed=11
-    )
+    # one replica per core, each serving at the analytical per-image time
+    service_s = evaluate_colocation(scenario, specs).cycles_per_image / 2e9
+    capacity = scenario.instances / service_s
     print(f"Stress-testing the recommended design "
-          f"(capacity {sim.capacity_rps:.1f} req/s):")
+          f"(capacity {capacity:.1f} req/s):")
     load_table = Table(["offered load", "p50 latency (ms)", "p99 latency (ms)",
                         "utilization"])
-    for frac, stats in sim.load_sweep((0.3, 0.6, 0.9), n_requests=3000).items():
+    for frac in (0.3, 0.6, 0.9):
+        trace = generate_trace(TraceSpec("uniform", 3000, frac * capacity, 11))
+        stats = replay(
+            FixedServiceTime(service_s), trace,
+            servers=scenario.instances, max_batch=1,
+        ).stats
         load_table.add_row(
             [f"{frac:.0%}", stats.p50 * 1e3, stats.p99 * 1e3,
              f"{stats.utilization:.0%}"]

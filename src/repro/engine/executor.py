@@ -383,10 +383,11 @@ class EvaluationEngine:
             results: list[LayerCycles | CellError | None] = [None] * len(tasks)
             missing: dict[str, list[int]] = {}  # key -> task indices needing it
             for i, task in enumerate(tasks):
+                # tasks are resolved already: derive the key directly
+                key = cache_key(task.algorithm, task.spec, task.hw, self.calibration)
                 if not self.use_cache:
-                    missing.setdefault(self.key(task), []).append(i)
+                    missing.setdefault(key, []).append(i)
                     continue
-                key = self.key(task)
                 record = self.cache.get(key)
                 if record is not None:
                     results[i] = record

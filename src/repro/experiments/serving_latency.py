@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from repro.experiments.configs import workload
 from repro.experiments.report import ExperimentResult
+from repro.serve import FixedServiceTime, TraceSpec, generate_trace, replay
 from repro.serving.colocation import ColocationScenario, evaluate_colocation
-from repro.serving.simulator import ServingSimulator
 from repro.utils.tables import Table
 
 LOAD_FRACTIONS: tuple[float, ...] = (0.3, 0.6, 0.8, 0.95)
@@ -25,18 +25,20 @@ def run(
 ) -> ExperimentResult:
     specs = workload(model)
     policies = ("im2col_gemm6", "optimal")
-    sims: dict[str, ServingSimulator] = {}
+    service_s: dict[str, float] = {}  # per-image time of one replica
+    capacity: dict[str, float] = {}
     for policy in policies:
         scenario = ColocationScenario(
             cores=cores, vlen_bits=vlen_bits, shared_l2_mib=shared_l2_mib,
             instances=cores, policy=policy,
         )
         result = evaluate_colocation(scenario, specs)
-        sims[policy] = ServingSimulator.from_colocation(result, seed=seed)
+        service_s[policy] = result.cycles_per_image / 2e9  # 2 GHz clock
+        capacity[policy] = cores / service_s[policy]
 
     # both policies face the same absolute request rates, anchored to the
     # single-algorithm policy's capacity
-    base_capacity = sims["im2col_gemm6"].capacity_rps
+    base_capacity = capacity["im2col_gemm6"]
     table = Table(
         ["offered load (of GEMM-6 capacity)", "policy", "throughput rps",
          "mean latency (ms)", "p99 latency (ms)", "utilization"],
@@ -46,8 +48,12 @@ def run(
     data: dict[tuple[float, str], dict] = {}
     for frac in LOAD_FRACTIONS:
         rate = frac * base_capacity
+        trace = generate_trace(TraceSpec("uniform", n_requests, rate, seed))
         for policy in policies:
-            stats = sims[policy].run(rate, n_requests)
+            stats = replay(
+                FixedServiceTime(service_s[policy]), trace,
+                servers=cores, max_batch=1,
+            ).stats
             data[(frac, policy)] = {
                 "throughput": stats.throughput_rps,
                 "mean_ms": stats.mean_latency * 1e3,
@@ -59,11 +65,11 @@ def run(
                  stats.mean_latency * 1e3, stats.p99 * 1e3,
                  f"{stats.utilization:.0%}"]
             )
-    capacity_gain = sims["optimal"].capacity_rps / base_capacity
+    capacity_gain = capacity["optimal"] / base_capacity
     return ExperimentResult(
         experiment="serving-latency",
         description="Tail latency and capacity with vs without selection",
         table=table,
         data={"points": data, "capacity_gain": capacity_gain,
-              "capacity_rps": {p: sims[p].capacity_rps for p in policies}},
+              "capacity_rps": capacity},
     )

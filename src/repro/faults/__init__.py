@@ -4,7 +4,7 @@ This package is the *fault plane*: a single place that decides — purely,
 from ``(seed, site, token)`` hashes — which worker chunks crash or hang,
 which disk-cache writes land corrupted or raise, which serving requests
 see a predictor failure or an arrival burst, and when a checkpointed
-campaign gets killed.  The engine, cache, serving simulator and campaign
+campaign gets killed.  The engine, cache, serving layer and campaign
 runner each ask the active plan at their fault sites; the resilience
 machinery they wrap must then erase the injected faults, which the chaos
 suite (``tests/test_chaos_engine.py``, ``tests/test_serving_degradation.py``)

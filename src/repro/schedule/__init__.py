@@ -6,7 +6,7 @@ searchable objects:
 * :mod:`repro.schedule.ir` — tile/reorder/unroll/vectorize transforms
   over named loop nests, with legality checks;
 * :mod:`repro.schedule.templates` — the four menu algorithms' schedules
-  as IR instances with knob grids (absorbing the old ``blocktuner``);
+  as IR instances with knob grids;
 * :mod:`repro.schedule.variants` — the ``base@knob=value`` naming
   grammar that makes searched schedules first-class registry citizens;
 * :mod:`repro.schedule.search` — the seeded per-(layer, VL, L2) search

@@ -1,16 +1,13 @@
 """A real async serving layer over the co-design stack.
 
-Where :mod:`repro.serving` *simulates* request-level dynamics,
-:mod:`repro.serve` actually serves: ``repro-serve`` is an asyncio
-service that answers algorithm-selection queries (which convolution
-algorithm should this layer use on this hardware, and what will it
-cost?) from the trained predictor, with an engine-backed fallback
-through the shared content-addressed memo cache, micro-batching, and
-PR 5's overload policies — admission control, shedding, SLO accounting,
-a circuit breaker — promoted from simulator internals to real
-middleware.
+``repro-serve`` is an asyncio service that answers algorithm-selection
+queries (which convolution algorithm should this layer use on this
+hardware, and what will it cost?) from the trained predictor, with an
+engine-backed fallback through the shared content-addressed memo cache,
+micro-batching, and overload middleware — admission control, shedding,
+SLO accounting, a circuit breaker.
 
-Since PR 10 the endpoint also survives replica failure:
+The endpoint also survives replica failure:
 :mod:`repro.serve.router` runs N service replicas behind one
 consistent-hash front end (``repro-serve --replicas 4``) with
 per-replica health tracking (:mod:`repro.serve.health`), deadline
@@ -19,18 +16,21 @@ graceful drain/rejoin — all deterministic under the fault plane's
 ``replica.*``/``probe.drop`` sites.
 
 The package ships its own proving ground: :mod:`repro.serve.loadgen`
-generates seeded diurnal/bursty traces and replays them against the
-in-process service (or a whole replica pool, :func:`routed_replay`) on
-a virtual clock, which is how the integration suite
+generates seeded uniform/diurnal/bursty traces and replays them against
+the in-process service (or a whole replica pool, :func:`routed_replay`)
+on a virtual clock, which is how the integration suite
 (``tests/test_serve_integration.py``, ``tests/test_serve_router.py``)
 pins response parity, SLO safety under overload and failover behavior
-deterministically.  See ``docs/SERVING.md``.
+deterministically.  Over a :class:`FixedServiceTime` backend the same
+replay is the M/D/c queue behind the serving studies
+(``serving-latency``).  See ``docs/SERVING.md``.
 """
 
 from repro.serve.batcher import MicroBatcher
 from repro.serve.clock import Clock, MonotonicClock, VirtualClock
 from repro.serve.health import ReplicaHealth
 from repro.serve.loadgen import (
+    FixedServiceTime,
     ReplayResult,
     RoutedReplayResult,
     TimedRequest,
@@ -43,7 +43,9 @@ from repro.serve.loadgen import (
 from repro.serve.middleware import (
     AdmissionController,
     CircuitBreaker,
+    RequestRecord,
     ServingLedger,
+    ServingStats,
 )
 from repro.serve.protocol import (
     ServeRequest,
@@ -67,6 +69,7 @@ __all__ = [
     "CircuitBreaker",
     "Clock",
     "FALLBACK_POLICIES",
+    "FixedServiceTime",
     "InProcessReplica",
     "MicroBatcher",
     "MonotonicClock",
@@ -75,6 +78,7 @@ __all__ = [
     "ReplicaHandle",
     "ReplicaHealth",
     "ReplicaRouter",
+    "RequestRecord",
     "RoutedOutcome",
     "RoutedReplayResult",
     "RouterStats",
@@ -82,6 +86,7 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "ServingLedger",
+    "ServingStats",
     "TimedRequest",
     "TraceSpec",
     "VirtualClock",

@@ -1,45 +1,59 @@
 """Deterministic load generation and virtual-clock replay.
 
-Two pieces:
+Three pieces:
 
 * :func:`generate_trace` — a seeded trace of timed requests.  Arrival
   processes: ``uniform`` (Poisson), ``diurnal`` (Poisson with a
   sinusoidally modulated rate — the day/night cycle compressed to
-  ``period_s``) and ``bursty`` (Poisson with the middle window
-  accelerated by ``burst_factor`` — the same shape the fault plane's
-  ``serving.burst`` injects).  Layer/hardware payloads are drawn from a
-  workload pool (default: the VGG-16 conv layers on two Paper II
-  configurations) by the same seeded generator, so a (seed, spec) pair
-  names one exact trace forever.
+  ``period_s``) and ``bursty`` (Poisson with the middle third
+  accelerated by ``burst_factor`` — the same window the fault plane's
+  ``serving.burst`` site compresses in any pattern).  Layer/hardware
+  payloads are drawn from a workload pool (default: the VGG-16 conv
+  layers on two Paper II configurations) by the same seeded generator,
+  so a (seed, spec) pair names one exact trace forever.
 
-* :func:`replay` — a discrete-event replay of a trace against an
-  in-process :class:`~repro.serve.service.PredictionService` on a
-  :class:`~repro.serve.clock.VirtualClock`.  It mirrors the live
-  server's pipeline exactly — queue-bounded admission, micro-batch
-  flush on size-or-age, one ``handle_batch`` per flush, FCFS dispatch
-  over ``servers`` replicas at the engine-priced per-request service
-  time — but on virtual time, so a 10k-request overload run takes
-  milliseconds of wall clock and two runs produce bit-identical
-  responses, timelines and :class:`~repro.serving.simulator.ServingStats`.
+* :func:`routed_replay` / :func:`replay` — one discrete-event loop on a
+  :class:`~repro.serve.clock.VirtualClock`: queue-bounded admission
+  through :class:`~repro.serve.middleware.AdmissionController`,
+  per-shard micro-batches flushed on size-or-age, and a backend that
+  prices every flush.  :func:`routed_replay` hands each flush to a
+  :class:`~repro.serve.router.ReplicaRouter`; :func:`replay` to one
+  service behind ``servers`` FCFS replicas, each request occupying a
+  replica for its engine-priced ``response.seconds``.  Queueing is
+  priced at those service times — the live ``ServeApp`` path queues on
+  wall time instead — so a 10k-request overload run takes milliseconds
+  and two runs produce bit-identical responses, timelines and
+  :class:`~repro.serve.middleware.ServingStats`.
+
+* :class:`FixedServiceTime` — the constant-service backend that turns
+  :func:`replay` into an M/D/c queue, which is how the serving studies
+  (``serving-latency``, the design recommender) price a replica whose
+  per-image time the analytical model predicts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from heapq import heapreplace
+from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
+from repro import faults
 from repro.errors import ServeError
 from repro.nn.layer import ConvSpec
 from repro.nn.models.vgg16 import vgg16_conv_specs
 from repro.serve.batcher import validate_batch_params
 from repro.serve.clock import VirtualClock
-from repro.serve.middleware import AdmissionController, ServingLedger
+from repro.serve.middleware import (
+    AdmissionController,
+    ServingLedger,
+    ServingStats,
+)
 from repro.serve.protocol import ServeRequest, ServeResponse
 from repro.serve.router import ReplicaRouter, RoutedOutcome
 from repro.serve.service import PredictionService
-from repro.serving.simulator import ServingStats
 from repro.simulator.hwconfig import HardwareConfig
 from repro.utils.prng import make_rng
 
@@ -96,26 +110,34 @@ def default_workload() -> list[tuple[ConvSpec, HardwareConfig]]:
 
 def _arrival_times(spec: TraceSpec) -> list[float]:
     rng = make_rng(spec.seed)
+    n = spec.n_requests
     if spec.pattern == "diurnal":
         # thinning-free sequential draw: each gap uses the rate at the
         # current instant, which is exact enough for a load test and
         # keeps generation O(n) and bit-deterministic
+        gaps = np.empty(n)
         t = 0.0
-        out: list[float] = []
-        for _ in range(spec.n_requests):
+        for i in range(n):
             rate = spec.rate_rps * (
                 1.0 + spec.diurnal_amplitude
                 * math.sin(2.0 * math.pi * t / spec.diurnal_period_s)
             )
-            t += float(rng.exponential(1.0 / rate))
-            out.append(t)
-        return out
-    gaps = rng.exponential(1.0 / spec.rate_rps, spec.n_requests)
-    if spec.pattern == "bursty" and spec.burst_factor > 1.0:
-        start, stop = spec.n_requests // 3, 2 * spec.n_requests // 3
-        gaps[start:stop] /= spec.burst_factor
-    times = gaps.cumsum()
-    return [float(t) for t in times]
+            gaps[i] = rng.exponential(1.0 / rate)
+            t += gaps[i]
+    else:
+        gaps = rng.exponential(1.0 / spec.rate_rps, n)
+    if spec.pattern == "bursty":
+        start, stop, factor = faults.FaultPlan(
+            serving_burst=spec.burst_factor
+        ).burst_window(n)
+        gaps[start:stop] /= factor
+    plan = faults.active_plan()
+    if plan is not None:
+        start, stop, factor = plan.burst_window(n)
+        if factor > 1.0:
+            gaps[start:stop] /= factor
+            faults.mark_injected("serving.burst")
+    return [float(t) for t in gaps.cumsum()]
 
 
 def generate_trace(
@@ -142,8 +164,108 @@ def generate_trace(
 
 
 # ---------------------------------------------------------------------- #
-# replay
+# the virtual-clock loop
 # ---------------------------------------------------------------------- #
+#: One flush's backend: ``serve(batch, at)`` prices a shard's micro-batch
+#: flushed at instant ``at``, one ``(response, start, finish)`` per request.
+_Serve = Callable[
+    [list[TimedRequest], float], Iterable[tuple[ServeResponse, float, float]]
+]
+
+
+def _run(
+    trace: Sequence[TimedRequest],
+    shard_key: Callable[[ServeRequest], str],
+    serve: _Serve,
+    clock: VirtualClock,
+    queue_limit: int | None,
+    slo_s: float | None,
+    max_batch: int,
+    max_wait_s: float,
+) -> tuple[ServingLedger, list[ServeResponse], list[str]]:
+    """Admit, batch and flush ``trace`` on the virtual clock.
+
+    An arrival is admitted iff the :class:`AdmissionController` depth
+    (admitted but unflushed) plus the ledger backlog (flushed but not yet
+    started) is under ``queue_limit``.  Admitted requests join their
+    shard's open micro-batch, which flushes when it holds ``max_batch``
+    requests or is ``max_wait_s`` old; age flushes due before an arrival
+    run first, oldest first.  Returns the ledger, the responses in flush
+    order and the shed request ids.
+    """
+    validate_batch_params(max_batch, max_wait_s)
+    admission = AdmissionController(queue_limit)
+    ledger = ServingLedger(slo_s=slo_s)
+    admit, waiting_at, record = (
+        admission.admit, ledger.waiting_at, ledger.record
+    )
+    responses: list[ServeResponse] = []
+    shed_ids: list[str] = []
+    pending: dict[str, list[TimedRequest]] = {}
+    #: shard -> age-flush instant of its open batch, in opening order, so
+    #: the first value is always the earliest
+    due_at: dict[str, float] = {}
+    next_due = math.inf
+
+    def flush(key: str, at: float) -> None:
+        nonlocal next_due
+        batch = pending.pop(key)
+        del due_at[key]
+        next_due = next(iter(due_at.values()), math.inf)
+        clock.advance_to(at)
+        admission.started(len(batch))
+        for timed, (response, start, finish) in zip(batch, serve(batch, at)):
+            record(timed.arrival, start, finish)
+            if response.served_by == "fallback":
+                ledger.record_fallback()
+            responses.append(response)
+
+    for timed in sorted(trace, key=lambda t: t.arrival):
+        arrival = timed.arrival
+        while arrival > next_due:  # age flushes first: earliest, then key
+            flush(min(k for k, t in due_at.items() if t == next_due), next_due)
+        if not admit(waiting_at(arrival)):
+            ledger.record_shed(arrival)
+            shed_ids.append(timed.request.id)
+            continue
+        key = shard_key(timed.request)
+        batch = pending.get(key)
+        if batch is None:
+            batch = pending[key] = []
+            due_at[key] = arrival + max_wait_s
+            if len(due_at) == 1:  # older open batches are due no later
+                next_due = due_at[key]
+        batch.append(timed)
+        if len(batch) >= max_batch:
+            flush(key, arrival)
+    for at, key in sorted((t, k) for k, t in due_at.items()):
+        flush(key, at)
+    return ledger, responses, shed_ids
+
+
+# ---------------------------------------------------------------------- #
+# single-service replay
+# ---------------------------------------------------------------------- #
+class FixedServiceTime:
+    """A backend whose every response is ``ok`` after ``seconds``.
+
+    Replaying a trace against it with ``max_batch=1`` is an M/D/c queue
+    over ``servers`` replicas of a model whose per-image time is known
+    (e.g. from the co-location model).
+    """
+
+    def __init__(self, seconds: float) -> None:
+        if seconds <= 0:
+            raise ServeError(f"service time must be positive, got {seconds}")
+        self.seconds = seconds
+
+    def handle_batch(self, requests: list[ServeRequest]) -> list[ServeResponse]:
+        return [ServeResponse(id=r.id, seconds=self.seconds) for r in requests]
+
+    def snapshot(self) -> dict:
+        return {"seconds": self.seconds}
+
+
 @dataclass
 class ReplayResult:
     """Everything one replay produced, in trace order."""
@@ -160,7 +282,7 @@ class ReplayResult:
 
 
 def replay(
-    service: PredictionService,
+    service: PredictionService | FixedServiceTime,
     trace: Sequence[TimedRequest],
     servers: int = 1,
     queue_limit: int | None = None,
@@ -169,70 +291,34 @@ def replay(
     max_wait_s: float = 0.0,
     clock: VirtualClock | None = None,
 ) -> ReplayResult:
-    """Replay a trace through a live service on the virtual clock.
+    """Replay a trace through one service on the virtual clock.
 
-    The event loop mirrors the asyncio server: an arrival is admitted iff
-    fewer than ``queue_limit`` admitted requests are waiting (batched but
-    unflushed, or flushed but not yet started); admitted requests join
-    the open micro-batch, which flushes when it holds ``max_batch``
-    requests or is ``max_wait_s`` old; each flush is one
-    ``service.handle_batch`` call; dispatch is FCFS over ``servers``
-    replicas, each request occupying a replica for the engine-priced
-    ``response.seconds``.
+    One shard; each flush is one ``service.handle_batch`` call, and
+    dispatch is FCFS over ``servers`` replicas: a request starts at
+    ``max(flush instant, earliest free replica)`` and occupies that
+    replica for ``response.seconds``; an errored response finishes the
+    instant it starts.
     """
     if servers < 1:
         raise ServeError(f"servers must be >= 1, got {servers}")
-    validate_batch_params(max_batch, max_wait_s)
     clock = clock or VirtualClock()
-    ledger = ServingLedger(slo_s=slo_s)
-    free_at = [clock.now()] * servers
-    heapq.heapify(free_at)
-    responses: list[ServeResponse] = []
-    shed_ids: list[str] = []
-    pending: list[TimedRequest] = []
-    batch_opened: float | None = None
+    free_at = [clock.now()] * servers  # a heap of replica free instants
 
-    def flush(at: float) -> None:
-        nonlocal batch_opened
-        if not pending:
-            batch_opened = None
-            return
-        clock.advance_to(at)
-        batch = service.handle_batch([t.request for t in pending])
-        for timed, response in zip(pending, batch):
-            start = max(at, heapq.heappop(free_at))
-            if response.status == "ok":
-                finish = start + response.seconds
-                ledger.record(timed.arrival, start, finish)
-            else:
-                finish = start  # an errored request occupies no replica
-                ledger.record(timed.arrival, start, finish)
-            if response.served_by == "fallback":
-                ledger.record_fallback()
-            heapq.heappush(free_at, finish)
-            responses.append(response)
-        pending.clear()
-        batch_opened = None
+    def serve(
+        batch: list[TimedRequest], at: float
+    ) -> list[tuple[ServeResponse, float, float]]:
+        out = []
+        for response in service.handle_batch([t.request for t in batch]):
+            start = max(at, free_at[0])
+            finish = start + response.seconds if response.status == "ok" else start
+            heapreplace(free_at, finish)
+            out.append((response, start, finish))
+        return out
 
-    for timed in sorted(trace, key=lambda t: t.arrival):
-        # age-based flush happens *before* this arrival is considered
-        if (batch_opened is not None
-                and timed.arrival > batch_opened + max_wait_s):
-            flush(batch_opened + max_wait_s)
-        waiting = len(pending) + ledger.waiting_at(timed.arrival)
-        if queue_limit is not None and waiting >= queue_limit:
-            ledger.record_shed(timed.arrival)
-            shed_ids.append(timed.request.id)
-            continue
-        if not pending:
-            batch_opened = timed.arrival
-        pending.append(timed)
-        if len(pending) >= max_batch:
-            flush(timed.arrival)
-    if pending:
-        assert batch_opened is not None
-        flush(batch_opened + max_wait_s)
-
+    ledger, responses, shed_ids = _run(
+        trace, lambda request: "", serve, clock,
+        queue_limit, slo_s, max_batch, max_wait_s,
+    )
     return ReplayResult(
         responses=responses,
         shed_ids=shed_ids,
@@ -285,74 +371,31 @@ def routed_replay(
 ) -> RoutedReplayResult:
     """Replay a trace through a replica pool on the virtual clock.
 
-    The single-service :func:`replay` loop, routed: arrivals shard by
-    hardware configuration and each shard keeps its own micro-batch
-    (flushed on size-or-age); each flush is one
+    Arrivals shard by hardware configuration and each flush is one
     :meth:`~repro.serve.router.ReplicaRouter.route_priced` call, where
     the router's health/retry/hedge machinery and the fault plane's
     ``replica.*`` sites decide which replica serves and when it finishes.
-    Admission consults the :class:`AdmissionController` with the
-    router-side backlog as extra depth, so replica outages backpressure
-    the front door.  Everything is driven by seeded hashes on the
-    virtual clock: two processes replaying the same (trace, router
-    config, fault plan) produce bit-identical results.
+    Replica-side backlog counts toward admission depth, so replica
+    outages backpressure the front door.  Everything is driven by seeded
+    hashes on the virtual clock: two processes replaying the same (trace,
+    router config, fault plan) produce bit-identical results.
     """
-    validate_batch_params(max_batch, max_wait_s)
-    clock = clock or VirtualClock()
-    admission = AdmissionController(queue_limit)
-    ledger = ServingLedger(slo_s=slo_s)
-    responses: list[ServeResponse] = []
     outcomes: list[RoutedOutcome] = []
-    shed_ids: list[str] = []
-    pending: dict[str, list[TimedRequest]] = {}
-    opened: dict[str, float] = {}
 
-    def flush(key: str, at: float) -> None:
-        batch = pending.pop(key, [])
-        opened.pop(key, None)
-        if not batch:
-            return
-        clock.advance_to(at)
+    def serve(
+        batch: list[TimedRequest], at: float
+    ) -> list[tuple[ServeResponse, float, float]]:
         router.run_probes(at)
-        admission.started(len(batch))
         routed = router.route_priced(
             [(t.arrival, t.request) for t in batch], at
         )
-        for timed, outcome in zip(batch, routed):
-            ledger.record(timed.arrival, outcome.start, outcome.finish)
-            if outcome.response.served_by == "fallback":
-                ledger.record_fallback()
-            responses.append(outcome.response)
-            outcomes.append(outcome)
+        outcomes.extend(routed)
+        return [(o.response, o.start, o.finish) for o in routed]
 
-    def flush_due(before: float) -> None:
-        due = sorted(
-            (t + max_wait_s, key)
-            for key, t in opened.items()
-            if before > t + max_wait_s
-        )
-        for at, key in due:
-            flush(key, at)
-
-    for timed in sorted(trace, key=lambda t: t.arrival):
-        flush_due(timed.arrival)
-        # admission.depth is the unflushed pending count; the extra depth
-        # is the router-side backlog (flushed but still queued at a replica)
-        backlog = ledger.waiting_at(timed.arrival)
-        if not admission.admit(extra_depth=backlog):
-            ledger.record_shed(timed.arrival)
-            shed_ids.append(timed.request.id)
-            continue
-        key = router.shard_key(timed.request)
-        if key not in pending:
-            pending[key] = []
-            opened[key] = timed.arrival
-        pending[key].append(timed)
-        if len(pending[key]) >= max_batch:
-            flush(key, timed.arrival)
-    for at, key in sorted((t + max_wait_s, k) for k, t in opened.items()):
-        flush(key, at)
-
+    ledger, responses, shed_ids = _run(
+        trace, router.shard_key, serve, clock or VirtualClock(),
+        queue_limit, slo_s, max_batch, max_wait_s,
+    )
     return RoutedReplayResult(
         responses=responses,
         outcomes=outcomes,

@@ -1,30 +1,152 @@
-"""PR 5's overload machinery, lifted out of the simulator into middleware.
+"""Overload policies and run accounting shared by the server and replay.
 
-:class:`ResilientServingSimulator` proved the policies — queue-bounded
-admission control, a consecutive-failure circuit breaker, SLO-breach
-accounting — inside a discrete-event loop.  The real service needs the
-same policies as free-standing objects it can consult per request; this
-module provides them, and :class:`ServingLedger` folds the outcome of a
-run back into the *same* :class:`~repro.serving.simulator.ServingStats`
-aggregate the simulators report, so dashboards and invariant checks
-(``offered == admitted + shed``) carry over unchanged.
+Free-standing objects the service consults per request: queue-bounded
+admission control, a consecutive-failure circuit breaker, and
+:class:`ServingLedger`, which collects per-request timelines and renders
+a run as one :class:`ServingStats` aggregate — the same shape whether
+the run was live (``ServeApp``) or replayed on the virtual clock
+(:mod:`repro.serve.loadgen`), so dashboards and invariant checks
+(``offered == admitted + shed``) apply to both.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro import obs
 from repro.errors import ServeError
-from repro.serving.simulator import RequestRecord, ServingStats
+
+
+class RequestRecord(NamedTuple):
+    """One served request's timeline (seconds)."""
+
+    arrival: float
+    start: float
+    finish: float
+
+    @property
+    def latency(self) -> float:
+        return self.finish - self.arrival
+
+    @property
+    def queue_wait(self) -> float:
+        return self.start - self.arrival
+
+
+@dataclass
+class ServingStats:
+    """Aggregate results of one serving run.
+
+    ``records`` holds *admitted* requests only; overload accounting lives
+    in ``shed_arrivals`` (arrival instants of rejected requests),
+    ``fallbacks`` (requests served in degraded mode) and, when an SLO was
+    configured, :attr:`slo_breaches`.
+    """
+
+    records: list[RequestRecord]
+    horizon: float  # last finish time (s)
+    servers: int
+    service_time: float  # mean busy time per request (s)
+    shed_arrivals: list[float] = field(default_factory=list)
+    fallbacks: int = 0
+    slo_s: float | None = None
+
+    def __post_init__(self) -> None:
+        self._latencies = np.array([r.latency for r in self.records])
+
+    @classmethod
+    def collect(
+        cls,
+        records: list[RequestRecord],
+        servers: int,
+        shed_arrivals: list[float] | None = None,
+        fallbacks: int = 0,
+        slo_s: float | None = None,
+    ) -> "ServingStats":
+        """Build stats from collected request timelines."""
+        records = list(records)
+        horizon = max((r.finish for r in records), default=0.0)
+        busy = [r.finish - r.start for r in records]
+        service = float(np.mean(busy)) if busy else 0.0
+        return cls(
+            records=records, horizon=horizon, servers=servers,
+            service_time=service,
+            shed_arrivals=list(shed_arrivals or []),
+            fallbacks=fallbacks, slo_s=slo_s,
+        )
+
+    @property
+    def n_requests(self) -> int:
+        return len(self.records)
+
+    @property
+    def shed(self) -> int:
+        """Requests rejected by admission control (never served)."""
+        return len(self.shed_arrivals)
+
+    @property
+    def offered(self) -> int:
+        """Total offered load: admitted + shed."""
+        return self.n_requests + self.shed
+
+    @property
+    def shed_rate(self) -> float:
+        return self.shed / self.offered if self.offered else 0.0
+
+    @property
+    def slo_breaches(self) -> int:
+        """Admitted requests whose latency exceeded the configured SLO."""
+        if self.slo_s is None or not len(self._latencies):
+            return 0
+        return int((self._latencies > self.slo_s).sum())
+
+    @property
+    def slo_breach_rate(self) -> float:
+        return self.slo_breaches / self.n_requests if self.n_requests else 0.0
+
+    @property
+    def throughput_rps(self) -> float:
+        return self.n_requests / self.horizon if self.horizon else 0.0
+
+    def latency_percentile(self, q: float) -> float:
+        if not len(self._latencies):
+            return 0.0
+        return float(np.percentile(self._latencies, q))
+
+    @property
+    def mean_latency(self) -> float:
+        if not len(self._latencies):
+            return 0.0
+        return float(self._latencies.mean())
+
+    @property
+    def p50(self) -> float:
+        return self.latency_percentile(50)
+
+    @property
+    def p99(self) -> float:
+        return self.latency_percentile(99)
+
+    @property
+    def utilization(self) -> float:
+        """Fraction of server-seconds spent serving."""
+        busy = sum(r.finish - r.start for r in self.records)
+        return busy / (self.servers * self.horizon) if self.horizon else 0.0
+
+    def mean_queue_length(self) -> float:
+        """Time-averaged number of queued+in-service requests (Little)."""
+        return self.throughput_rps * self.mean_latency
 
 
 class CircuitBreaker:
     """Open after ``max_failures`` *consecutive* failures; manual reset.
 
-    The policy is exactly the simulator's: every success resets the
-    streak, and the open transition is counted once under
-    ``serve.circuit_opened``.
+    Every success resets the streak, and the open transition is counted
+    once under ``serve.circuit_opened``.
     """
 
     def __init__(self, max_failures: int = 3) -> None:
@@ -111,8 +233,7 @@ class ServingLedger:
 
     Collects :class:`RequestRecord` timelines for admitted requests and
     arrival instants for shed ones, then renders the run as a
-    :class:`ServingStats` — the exact aggregate PR 5's simulators emit,
-    including SLO-breach and fallback accounting.
+    :class:`ServingStats`, including SLO-breach and fallback accounting.
     """
 
     def __init__(self, slo_s: float | None = None) -> None:
@@ -130,11 +251,10 @@ class ServingLedger:
             raise ServeError(
                 f"non-causal request timeline {arrival}/{start}/{finish}"
             )
-        rec = RequestRecord(arrival, start, finish)
-        self.records.append(rec)
+        self.records.append(RequestRecord(arrival, start, finish))
         insort(self._starts, start)
-        obs.observe("serve.latency_s", rec.latency)
-        obs.observe("serve.queue_wait_s", rec.queue_wait)
+        obs.observe("serve.latency_s", finish - arrival)
+        obs.observe("serve.queue_wait_s", start - arrival)
 
     def record_shed(self, arrival: float) -> None:
         self.shed_arrivals.append(arrival)
@@ -153,7 +273,7 @@ class ServingLedger:
         return len(self.records)
 
     def stats(self, servers: int = 1) -> ServingStats:
-        """The run so far as PR 5's :class:`ServingStats` aggregate."""
+        """The run so far as a :class:`ServingStats` aggregate."""
         return ServingStats.collect(
             self.records,
             servers=servers,

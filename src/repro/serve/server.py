@@ -32,7 +32,11 @@ from repro.engine.executor import EvaluationEngine
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.serve.batcher import MicroBatcher
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.middleware import AdmissionController, ServingLedger
+from repro.serve.middleware import (
+    AdmissionController,
+    ServingLedger,
+    ServingStats,
+)
 from repro.serve.protocol import (
     ServeRequest,
     ServeResponse,
@@ -41,7 +45,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.router import InProcessReplica, ReplicaRouter
 from repro.serve.service import FALLBACK_POLICIES, PredictionService
-from repro.serving.simulator import ServingStats
 
 _HTTP_VERBS = (b"GET ", b"POST ", b"PUT ", b"DELETE ", b"HEAD ")
 

@@ -142,8 +142,7 @@ class PredictionService:
             except InjectedFaultError:  # pragma: no cover - defensive
                 raise
             except Exception:
-                # one failure per affected request: the breaker semantics
-                # of ResilientServingSimulator, applied batch-wide
+                # one breaker failure per affected request
                 for i in ask:
                     self.breaker.record_failure()
                     choices[i] = ("", "fallback")

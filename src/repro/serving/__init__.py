@@ -10,14 +10,8 @@ single-instance latency) against 7 nm chip area.
 from repro.serving.pareto import ParetoPoint, pareto_frontier, is_dominated
 from repro.serving.throughput import network_cycles, NetworkTime
 from repro.serving.colocation import ColocationScenario, ColocationResult, evaluate_colocation
-from repro.serving.simulator import ServingSimulator, ServingStats
 from repro.serving.recommend import DesignRecommendation, recommend_design
 from repro.serving.mixed import ModelGroup, MixedServingResult, evaluate_mixed
-from repro.serving.simulator import (
-    ContentionAwareSimulator,
-    ResilientServingSimulator,
-    md1_mean_wait,
-)
 
 __all__ = [
     "ParetoPoint",
@@ -28,14 +22,9 @@ __all__ = [
     "ColocationScenario",
     "ColocationResult",
     "evaluate_colocation",
-    "ServingSimulator",
-    "ServingStats",
     "DesignRecommendation",
     "recommend_design",
     "ModelGroup",
     "MixedServingResult",
     "evaluate_mixed",
-    "ContentionAwareSimulator",
-    "ResilientServingSimulator",
-    "md1_mean_wait",
 ]

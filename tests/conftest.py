@@ -98,3 +98,24 @@ def trained_selector(selection_dataset):
     selector = AlgorithmSelector(n_estimators=60)
     selector.train(selection_dataset)
     return selector
+
+
+@pytest.fixture(scope="session")
+def md_c():
+    """``md_c(servers, service_s, rate_rps, n, seed=0, **replay_kwargs)``.
+
+    An M/D/c run: a seeded Poisson trace replayed one request per flush
+    against a constant-service backend over ``servers`` FCFS replicas —
+    the queue behind the serving studies.  Returns the ``ReplayResult``;
+    the trace is drawn inside the call, so an active fault plan applies.
+    """
+    from repro.serve import FixedServiceTime, TraceSpec, generate_trace, replay
+
+    def run(servers, service_s, rate_rps, n, seed=0, **kwargs):
+        trace = generate_trace(TraceSpec("uniform", n, rate_rps, seed))
+        return replay(
+            FixedServiceTime(service_s), trace, servers=servers, max_batch=1,
+            **kwargs,
+        )
+
+    return run

@@ -354,19 +354,20 @@ class TestInstrumentation:
         assert rec.counters.get("timing.l1_misses") == res.l1_misses
         assert rec.counters.get("cache.l1.misses") == res.l1_misses
 
-    def test_serving_records_latency_histogram(self):
-        from repro.serving.simulator import ServingSimulator
-
+    def test_serving_records_latency_histogram(self, md_c):
         rec = obs.enable()
-        sim = ServingSimulator(servers=2, service_time_s=0.01, seed=7)
-        stats = sim.run(arrival_rate_rps=100.0, n_requests=200)
-        hist = rec.histograms.get("serving.latency_s")
-        assert hist is not None and len(hist.values) == 200
-        assert max(hist.values) == pytest.approx(
+        result = md_c(2, 0.01, 100.0, 200, seed=7, queue_limit=1)
+        stats = result.stats
+        lat = rec.histograms.get("serve.latency_s")
+        wait = rec.histograms.get("serve.queue_wait_s")
+        assert lat is not None and len(lat.values) == stats.n_requests
+        assert wait is not None and len(wait.values) == stats.n_requests
+        assert max(lat.values) == pytest.approx(
             max(r.latency for r in stats.records)
         )
-        assert rec.counters.get("serving.requests") == 200
-        assert rec.gauges.get("serving.queue_depth") is not None
+        assert stats.shed > 0
+        assert rec.counters.get("serve.shed") == stats.shed
+        assert stats.offered == 200
 
     def test_kernel_phase_spans(self):
         from repro.algorithms.direct import DirectConv

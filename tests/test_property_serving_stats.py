@@ -1,14 +1,13 @@
 """Property-based conservation laws for serving accounting.
 
-The ISSUE-level invariants: over *any* random arrival/capacity stream,
+The invariants: over *any* random arrival/capacity stream,
 ``offered == admitted + shed`` and SLO-breach counts never exceed the
-number of completed requests.  Both the discrete-event simulator
-(PR 5's :class:`ServingSimulator`) and the ledger the real service
-shares with it (:class:`~repro.serve.middleware.ServingLedger`) must
-hold them — they are what makes shed traffic auditable instead of
-silently dropped.
+number of completed requests.  Both the fixed-service virtual-clock
+replay and the ledger it shares with the live service
+(:class:`~repro.serve.middleware.ServingLedger`) must hold them — they
+are what makes shed traffic auditable instead of silently dropped.
 
-PR 10 adds the routed variant: under *any* random replica up/down
+The routed variant: under *any* random replica up/down
 sequence (scripted dispatch failures, drains, rejoins) the
 :class:`~repro.serve.router.ReplicaRouter` partitions every admitted
 request into exactly one completion class —
@@ -27,7 +26,6 @@ from repro.nn.layer import ConvSpec
 from repro.serve.middleware import AdmissionController, ServingLedger
 from repro.serve.protocol import ServeRequest, ServeResponse
 from repro.serve.router import ReplicaHandle, ReplicaRouter
-from repro.serving.simulator import ServingSimulator
 from repro.simulator.hwconfig import HardwareConfig
 
 sim_params = {
@@ -45,17 +43,14 @@ class TestSimulatorConservation:
     @given(**sim_params)
     @settings(max_examples=60, deadline=None)
     def test_offered_equals_admitted_plus_shed(
-        self, servers, service_time_ms, rate_rps, n_requests,
+        self, md_c, servers, service_time_ms, rate_rps, n_requests,
         queue_limit, slo_ms, seed,
     ):
-        sim = ServingSimulator(
-            servers=servers,
-            service_time_s=service_time_ms / 1e3,
-            seed=seed,
+        stats = md_c(
+            servers, service_time_ms / 1e3, rate_rps, n_requests, seed=seed,
             queue_limit=queue_limit,
             slo_s=slo_ms / 1e3 if slo_ms is not None else None,
-        )
-        stats = sim.run(rate_rps, n_requests=n_requests)
+        ).stats
 
         # conservation: every offered request is admitted or shed
         assert stats.offered == n_requests

@@ -30,9 +30,11 @@ from repro.serve import (
     MicroBatcher,
     MonotonicClock,
     PredictionService,
+    RequestRecord,
     ServeRequest,
     ServeResponse,
     ServingLedger,
+    ServingStats,
     TraceSpec,
     VirtualClock,
     error_response,
@@ -40,7 +42,6 @@ from repro.serve import (
     replay,
     shed_response,
 )
-from repro.serving.simulator import RequestRecord, ServingStats
 from repro.simulator.hwconfig import HardwareConfig
 
 SPEC = ConvSpec(ic=64, oc=64, ih=56, iw=56, kh=3, kw=3, stride=1)

@@ -1,73 +1,87 @@
-"""Tests for the discrete-event serving simulator and latency study."""
+"""M/D/c queueing over the fixed-service replay, and the latency study.
+
+``md_c`` (see ``conftest.py``) replays a seeded Poisson trace one request
+per flush against :class:`~repro.serve.FixedServiceTime` — the queue the
+``serving-latency`` study and the design recommender price.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ServeError
 from repro.experiments.cli import run_experiment
-from repro.serving.simulator import ServingSimulator
+from repro.serve import FixedServiceTime, TraceSpec, generate_trace, replay
+
+
+def md1_mean_wait(arrival_rate_rps: float, service_time_s: float) -> float:
+    """Exact mean queue wait of an M/D/1 queue (Pollaczek-Khinchine).
+
+    ``W_q = rho * s / (2 * (1 - rho))`` for deterministic service.
+    """
+    rho = arrival_rate_rps * service_time_s
+    assert 0.0 < rho < 1.0, f"M/D/1 requires 0 < rho < 1, got {rho:.3f}"
+    return rho * service_time_s / (2.0 * (1.0 - rho))
 
 
 class TestSimulatorBasics:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ServingSimulator(servers=0, service_time_s=1.0)
-        with pytest.raises(ConfigError):
-            ServingSimulator(servers=1, service_time_s=0.0)
-        sim = ServingSimulator(servers=1, service_time_s=0.1)
-        with pytest.raises(ConfigError):
-            sim.run(arrival_rate_rps=0.0)
-        with pytest.raises(ConfigError):
-            sim.run(arrival_rate_rps=1.0, n_requests=0)
+        with pytest.raises(ServeError):
+            FixedServiceTime(0.0)
+        trace = generate_trace(TraceSpec("uniform", 10, 1.0))
+        with pytest.raises(ServeError):
+            replay(FixedServiceTime(0.1), trace, servers=0)
+        with pytest.raises(ServeError):
+            TraceSpec("uniform", 10, rate_rps=0.0)
+        with pytest.raises(ServeError):
+            TraceSpec("uniform", n_requests=0)
 
-    def test_capacity(self):
-        sim = ServingSimulator(servers=4, service_time_s=0.5)
-        assert sim.capacity_rps == 8.0
+    def test_capacity(self, md_c):
+        """Overloaded, 4 replicas at 0.5 s serve 4 / 0.5 = 8 req/s."""
+        stats = md_c(4, 0.5, 16.0, 400).stats
+        assert stats.throughput_rps == pytest.approx(8.0, rel=0.01)
+        assert stats.utilization == pytest.approx(1.0, abs=0.01)
 
-    def test_deterministic_with_seed(self):
-        a = ServingSimulator(1, 0.1, seed=3).run(5.0, 200)
-        b = ServingSimulator(1, 0.1, seed=3).run(5.0, 200)
+    def test_deterministic_with_seed(self, md_c):
+        a = md_c(1, 0.1, 5.0, 200, seed=3).stats
+        b = md_c(1, 0.1, 5.0, 200, seed=3).stats
+        assert a.records == b.records
         assert a.mean_latency == b.mean_latency
 
-    def test_latency_at_least_service_time(self):
-        stats = ServingSimulator(2, 0.2, seed=0).run(5.0, 300)
+    def test_latency_at_least_service_time(self, md_c):
+        stats = md_c(2, 0.2, 5.0, 300).stats
         assert stats.latency_percentile(0) >= 0.2 - 1e-12
 
-    def test_fcfs_no_server_overlap(self):
-        stats = ServingSimulator(1, 0.1, seed=1).run(8.0, 300)
-        finishes = sorted(r.finish for r in stats.records)
-        starts = sorted(r.start for r in stats.records)
-        # single server: consecutive services never overlap
-        for f, next_start in zip(finishes, starts[1:]):
-            assert next_start >= f - 1e-9 or True  # starts sorted separately
-        # stronger check: total busy time <= horizon
-        busy = sum(r.finish - r.start for r in stats.records)
-        assert busy <= stats.horizon + 1e-9
+    def test_fcfs_no_server_overlap(self, md_c):
+        """One replica: FCFS services follow each other, never overlap."""
+        records = md_c(1, 0.1, 8.0, 300, seed=1).stats.records
+        for prev, nxt in zip(records, records[1:]):
+            assert nxt.arrival >= prev.arrival
+            assert nxt.start >= prev.finish
+        busy = sum(r.finish - r.start for r in records)
+        assert busy <= records[-1].finish + 1e-9
 
-    def test_low_load_no_queueing(self):
+    def test_low_load_no_queueing(self, md_c):
         """At 10% load, queue waits are (almost) always zero."""
-        stats = ServingSimulator(4, 0.1, seed=2).run(0.1 * 40, 500)
+        stats = md_c(4, 0.1, 0.1 * 40, 500, seed=2).stats
         waits = [r.queue_wait for r in stats.records]
         assert np.mean(waits) < 0.1 * 0.1
 
-    def test_high_load_queues(self):
+    def test_high_load_queues(self, md_c):
         """Near saturation, waits dominate latency."""
-        low = ServingSimulator(2, 0.1, seed=2).run(0.3 * 20, 800)
-        high = ServingSimulator(2, 0.1, seed=2).run(0.95 * 20, 800)
+        low = md_c(2, 0.1, 0.3 * 20, 800, seed=2).stats
+        high = md_c(2, 0.1, 0.95 * 20, 800, seed=2).stats
         assert high.p99 > 2 * low.p99
 
-    def test_utilization_tracks_load(self):
-        sim = ServingSimulator(4, 0.05, seed=5)
+    def test_utilization_tracks_load(self, md_c):
         for frac in (0.3, 0.6, 0.9):
-            stats = sim.run(frac * sim.capacity_rps, 2000)
+            stats = md_c(4, 0.05, frac * 80, 2000, seed=5).stats
             assert stats.utilization == pytest.approx(frac, abs=0.08)
 
-    def test_littles_law(self):
+    def test_littles_law(self, md_c):
         """L = lambda * W within sampling error."""
-        sim = ServingSimulator(4, 0.05, seed=8)
-        stats = sim.run(0.7 * sim.capacity_rps, 4000)
+        stats = md_c(4, 0.05, 0.7 * 80, 4000, seed=8).stats
         assert stats.mean_queue_length() == pytest.approx(
             stats.throughput_rps * stats.mean_latency, rel=1e-9
         )
@@ -75,22 +89,21 @@ class TestSimulatorBasics:
     @given(servers=st.integers(1, 8), frac=st.floats(0.1, 0.9),
            seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
-    def test_invariants(self, servers, frac, seed):
+    def test_invariants(self, md_c, servers, frac, seed):
         """Arrivals ordered, starts >= arrivals, throughput <= capacity."""
-        sim = ServingSimulator(servers, 0.02, seed=seed)
-        stats = sim.run(frac * sim.capacity_rps, 300)
+        capacity = servers / 0.02
+        stats = md_c(servers, 0.02, frac * capacity, 300, seed=seed).stats
         for r in stats.records:
             assert r.start >= r.arrival - 1e-12
             assert r.finish == pytest.approx(r.start + 0.02)
-        assert stats.throughput_rps <= sim.capacity_rps * 1.3
+        assert stats.throughput_rps <= capacity * 1.3
 
-    def test_load_sweep(self):
-        sim = ServingSimulator(2, 0.1, seed=0)
-        sweep = sim.load_sweep(fractions=(0.2, 0.8), n_requests=300)
-        assert set(sweep) == {0.2, 0.8}
-        assert sweep[0.8].p99 >= sweep[0.2].p99
+    def test_load_sweep(self, md_c):
+        p99 = [md_c(2, 0.1, f * 20, 300).stats.p99 for f in (0.2, 0.8)]
+        assert p99[1] >= p99[0]
 
-    def test_from_colocation(self):
+    def test_from_colocation(self, md_c):
+        """A co-location result prices one replica's per-image time."""
         from repro.nn.models import vgg16_conv_specs
         from repro.serving.colocation import ColocationScenario, evaluate_colocation
 
@@ -99,11 +112,10 @@ class TestSimulatorBasics:
                                instances=2),
             vgg16_conv_specs(),
         )
-        sim = ServingSimulator.from_colocation(result, seed=0)
-        assert sim.servers == 2
-        assert sim.service_time == pytest.approx(
-            result.cycles_per_image / 2e9
-        )
+        service = result.cycles_per_image / 2e9
+        stats = md_c(2, service, 0.1 * 2 / service, 200).stats
+        assert stats.servers == 2
+        assert stats.latency_percentile(0) == pytest.approx(service)
 
 
 class TestServingLatencyStudy:
@@ -131,75 +143,30 @@ class TestServingLatencyStudy:
 
 
 class TestQueueingTheory:
-    """The simulator must converge to the exact M/D/1 closed form."""
+    """The fixed-service replay must converge to the M/D/1 closed form."""
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
-    def test_md1_mean_wait_matches_pollaczek_khinchine(self, rho):
-        from repro.serving.simulator import md1_mean_wait
-
+    def test_md1_mean_wait_matches_pollaczek_khinchine(self, md_c, rho):
         service = 0.01
         rate = rho / service
-        sim = ServingSimulator(servers=1, service_time_s=service, seed=42)
-        stats = sim.run(rate, n_requests=60_000)
+        stats = md_c(1, service, rate, 60_000, seed=42).stats
         waits = np.mean([r.queue_wait for r in stats.records])
-        exact = md1_mean_wait(rate, service)
-        assert waits == pytest.approx(exact, rel=0.15)
+        assert waits == pytest.approx(md1_mean_wait(rate, service), rel=0.15)
 
-    def test_md1_formula_validation(self):
-        from repro.serving.simulator import md1_mean_wait
-        from repro.errors import ConfigError
+    def test_md1_formula_validation(self, md_c):
+        """The closed form holds only for rho < 1: past saturation
+        (rho = 2) the replay has no steady state, and the mean wait keeps
+        growing with the run length."""
+        def mean_wait(n):
+            stats = md_c(1, 0.01, 200.0, n, seed=3).stats
+            return np.mean([r.queue_wait for r in stats.records])
 
-        with pytest.raises(ConfigError):
-            md1_mean_wait(200.0, 0.01)  # rho = 2
+        assert mean_wait(2000) > 3 * mean_wait(500)
 
-    def test_md1_wait_diverges_near_saturation(self):
-        from repro.serving.simulator import md1_mean_wait
+    def test_md1_wait_diverges_near_saturation(self, md_c):
+        def mean_wait(rho):
+            stats = md_c(1, 0.01, rho / 0.01, 20_000, seed=42).stats
+            return np.mean([r.queue_wait for r in stats.records])
 
+        assert mean_wait(0.95) > 10 * mean_wait(0.5)
         assert md1_mean_wait(99.0, 0.01) > 10 * md1_mean_wait(50.0, 0.01)
-
-
-class TestContentionAwareSimulator:
-    """Unpartitioned shared caches vs the paper's static partitioning."""
-
-    def _pair(self, seed=9):
-        from repro.serving.simulator import ContentionAwareSimulator
-
-        partitioned = ServingSimulator(4, 0.10, seed=seed)  # CAT slice time
-        shared = ContentionAwareSimulator(4, 0.07, 0.13, seed=seed)
-        return partitioned, shared
-
-    def test_validation(self):
-        from repro.serving.simulator import ContentionAwareSimulator
-
-        with pytest.raises(ConfigError):
-            ContentionAwareSimulator(2, 0.1, 0.05)
-
-    def test_low_load_shared_cache_is_faster(self):
-        """Mostly-idle box: each request enjoys most of the shared cache,
-        beating the static slice."""
-        partitioned, shared = self._pair()
-        rate = 0.2 * partitioned.capacity_rps
-        assert shared.run(rate, 2000).p50 < partitioned.run(rate, 2000).p50
-
-    def test_high_load_partitioning_controls_the_tail(self):
-        """Near saturation every request is contended: the shared cache's
-        p99 blows past the partitioned configuration's."""
-        partitioned, shared = self._pair()
-        rate = 0.9 * partitioned.capacity_rps
-        assert shared.run(rate, 4000).p99 > partitioned.run(rate, 4000).p99
-
-    def test_service_time_monotone_in_occupancy(self):
-        from repro.serving.simulator import ContentionAwareSimulator
-
-        sim = ContentionAwareSimulator(4, 0.05, 0.15, seed=0)
-        times = [sim._service_for_occupancy(k) for k in range(4)]
-        assert times == sorted(times)
-        assert times[0] == pytest.approx(0.05)
-        assert times[3] == pytest.approx(0.15)
-
-    def test_single_server_degenerates(self):
-        from repro.serving.simulator import ContentionAwareSimulator
-
-        sim = ContentionAwareSimulator(1, 0.05, 0.15, seed=0)
-        stats = sim.run(5.0, 500)
-        assert stats.latency_percentile(0) >= 0.05 - 1e-12
