@@ -15,10 +15,14 @@ budgets, retry-on-a-different-replica, optional request hedging and
 graceful drain/rejoin — all deterministic under the fault plane's
 ``replica.*``/``probe.drop`` sites.
 
-The package ships its own proving ground: :mod:`repro.serve.loadgen`
-generates seeded uniform/diurnal/bursty traces and replays them against
-the in-process service (or a whole replica pool, :func:`routed_replay`)
-on a virtual clock, which is how the integration suite
+Live serving and load testing share one batching core,
+:class:`~repro.serve.batcher.BatchCore` (admission, per-shard
+micro-batches flushed on size or age, the serving ledger).  The server
+drives it from the event loop and prices a flush on the wall clock;
+:mod:`repro.serve.loadgen` generates seeded uniform/diurnal/bursty traces
+and drives it from their arrival instants against the in-process service
+(or a whole replica pool, :func:`routed_replay`), pricing each flush on
+modelled time, which is how the integration suite
 (``tests/test_serve_integration.py``, ``tests/test_serve_router.py``)
 pins response parity, SLO safety under overload and failover behavior
 deterministically.  Over a :class:`FixedServiceTime` backend the same
@@ -26,14 +30,12 @@ replay is the M/D/c queue behind the serving studies
 (``serving-latency``).  See ``docs/SERVING.md``.
 """
 
-from repro.serve.batcher import MicroBatcher
-from repro.serve.clock import Clock, MonotonicClock, VirtualClock
+from repro.serve.batcher import BatchCore, MicroBatcher, TimedRequest
 from repro.serve.health import ReplicaHealth
 from repro.serve.loadgen import (
     FixedServiceTime,
     ReplayResult,
     RoutedReplayResult,
-    TimedRequest,
     TraceSpec,
     default_workload,
     generate_trace,
@@ -66,13 +68,12 @@ from repro.serve.service import FALLBACK_POLICIES, PredictionService
 __all__ = [
     "AdmissionController",
     "AsyncServeServer",
+    "BatchCore",
     "CircuitBreaker",
-    "Clock",
     "FALLBACK_POLICIES",
     "FixedServiceTime",
     "InProcessReplica",
     "MicroBatcher",
-    "MonotonicClock",
     "PredictionService",
     "ReplayResult",
     "ReplicaHandle",
@@ -89,7 +90,6 @@ __all__ = [
     "ServingStats",
     "TimedRequest",
     "TraceSpec",
-    "VirtualClock",
     "default_workload",
     "error_response",
     "generate_trace",

@@ -1,4 +1,4 @@
-"""Deterministic load generation and virtual-clock replay.
+"""Deterministic load generation and trace replay.
 
 Three pieces:
 
@@ -12,16 +12,16 @@ Three pieces:
   layers on two Paper II configurations) by the same seeded generator,
   so a (seed, spec) pair names one exact trace forever.
 
-* :func:`routed_replay` / :func:`replay` — one discrete-event loop on a
-  :class:`~repro.serve.clock.VirtualClock`: queue-bounded admission
-  through :class:`~repro.serve.middleware.AdmissionController`,
-  per-shard micro-batches flushed on size-or-age, and a backend that
-  prices every flush.  :func:`routed_replay` hands each flush to a
+* :func:`routed_replay` / :func:`replay` — a loop that feeds a trace's
+  arrival instants to the live server's batching core
+  (:class:`~repro.serve.batcher.BatchCore`: admission, per-shard
+  micro-batches flushed on size or age, ledger) and prices every flush
+  on modelled time.  :func:`routed_replay` hands each flush to a
   :class:`~repro.serve.router.ReplicaRouter`; :func:`replay` to one
   service behind ``servers`` FCFS replicas, each request occupying a
-  replica for its engine-priced ``response.seconds``.  Queueing is
-  priced at those service times — the live ``ServeApp`` path queues on
-  wall time instead — so a 10k-request overload run takes milliseconds
+  replica for its engine-priced ``response.seconds``.  Only the pricing
+  differs from the live ``ServeApp``, which reads the wall clock around
+  the backend call, so a 10k-request overload run takes milliseconds
   and two runs produce bit-identical responses, timelines and
   :class:`~repro.serve.middleware.ServingStats`.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapreplace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +44,8 @@ from repro import faults
 from repro.errors import ServeError
 from repro.nn.layer import ConvSpec
 from repro.nn.models.vgg16 import vgg16_conv_specs
-from repro.serve.batcher import validate_batch_params
-from repro.serve.clock import VirtualClock
-from repro.serve.middleware import (
-    AdmissionController,
-    ServingLedger,
-    ServingStats,
-)
+from repro.serve.batcher import BatchCore, TimedRequest
+from repro.serve.middleware import ServingStats
 from repro.serve.protocol import ServeRequest, ServeResponse
 from repro.serve.router import ReplicaRouter, RoutedOutcome
 from repro.serve.service import PredictionService
@@ -90,14 +85,6 @@ class TraceSpec:
             raise ServeError("diurnal_amplitude must be in [0, 1)")
         if self.diurnal_period_s <= 0:
             raise ServeError("diurnal_period_s must be positive")
-
-
-@dataclass(frozen=True)
-class TimedRequest:
-    """One trace entry: a request and the instant it arrives."""
-
-    arrival: float
-    request: ServeRequest
 
 
 def default_workload() -> list[tuple[ConvSpec, HardwareConfig]]:
@@ -163,84 +150,16 @@ def generate_trace(
     return out
 
 
-# ---------------------------------------------------------------------- #
-# the virtual-clock loop
-# ---------------------------------------------------------------------- #
-#: One flush's backend: ``serve(batch, at)`` prices a shard's micro-batch
-#: flushed at instant ``at``, one ``(response, start, finish)`` per request.
-_Serve = Callable[
-    [list[TimedRequest], float], Iterable[tuple[ServeResponse, float, float]]
-]
-
-
-def _run(
-    trace: Sequence[TimedRequest],
-    shard_key: Callable[[ServeRequest], str],
-    serve: _Serve,
-    clock: VirtualClock,
-    queue_limit: int | None,
-    slo_s: float | None,
-    max_batch: int,
-    max_wait_s: float,
-) -> tuple[ServingLedger, list[ServeResponse], list[str]]:
-    """Admit, batch and flush ``trace`` on the virtual clock.
-
-    An arrival is admitted iff the :class:`AdmissionController` depth
-    (admitted but unflushed) plus the ledger backlog (flushed but not yet
-    started) is under ``queue_limit``.  Admitted requests join their
-    shard's open micro-batch, which flushes when it holds ``max_batch``
-    requests or is ``max_wait_s`` old; age flushes due before an arrival
-    run first, oldest first.  Returns the ledger, the responses in flush
-    order and the shed request ids.
-    """
-    validate_batch_params(max_batch, max_wait_s)
-    admission = AdmissionController(queue_limit)
-    ledger = ServingLedger(slo_s=slo_s)
-    admit, waiting_at, record = (
-        admission.admit, ledger.waiting_at, ledger.record
-    )
-    responses: list[ServeResponse] = []
+def _feed(core: BatchCore, trace: Sequence[TimedRequest]) -> list[str]:
+    """Feed ``trace`` to ``core`` in arrival order, then flush every open
+    batch at its due instant.  Returns the shed request ids."""
     shed_ids: list[str] = []
-    pending: dict[str, list[TimedRequest]] = {}
-    #: shard -> age-flush instant of its open batch, in opening order, so
-    #: the first value is always the earliest
-    due_at: dict[str, float] = {}
-    next_due = math.inf
-
-    def flush(key: str, at: float) -> None:
-        nonlocal next_due
-        batch = pending.pop(key)
-        del due_at[key]
-        next_due = next(iter(due_at.values()), math.inf)
-        clock.advance_to(at)
-        admission.started(len(batch))
-        for timed, (response, start, finish) in zip(batch, serve(batch, at)):
-            record(timed.arrival, start, finish)
-            if response.served_by == "fallback":
-                ledger.record_fallback()
-            responses.append(response)
-
+    arrive = core.arrive
     for timed in sorted(trace, key=lambda t: t.arrival):
-        arrival = timed.arrival
-        while arrival > next_due:  # age flushes first: earliest, then key
-            flush(min(k for k, t in due_at.items() if t == next_due), next_due)
-        if not admit(waiting_at(arrival)):
-            ledger.record_shed(arrival)
+        if not arrive(timed):
             shed_ids.append(timed.request.id)
-            continue
-        key = shard_key(timed.request)
-        batch = pending.get(key)
-        if batch is None:
-            batch = pending[key] = []
-            due_at[key] = arrival + max_wait_s
-            if len(due_at) == 1:  # older open batches are due no later
-                next_due = due_at[key]
-        batch.append(timed)
-        if len(batch) >= max_batch:
-            flush(key, arrival)
-    for at, key in sorted((t, k) for k, t in due_at.items()):
-        flush(key, at)
-    return ledger, responses, shed_ids
+    core.flush_due(math.inf)
+    return shed_ids
 
 
 # ---------------------------------------------------------------------- #
@@ -289,9 +208,8 @@ def replay(
     slo_s: float | None = None,
     max_batch: int = 32,
     max_wait_s: float = 0.0,
-    clock: VirtualClock | None = None,
 ) -> ReplayResult:
-    """Replay a trace through one service on the virtual clock.
+    """Replay a trace through one service on modelled time.
 
     One shard; each flush is one ``service.handle_batch`` call, and
     dispatch is FCFS over ``servers`` replicas: a request starts at
@@ -301,8 +219,8 @@ def replay(
     """
     if servers < 1:
         raise ServeError(f"servers must be >= 1, got {servers}")
-    clock = clock or VirtualClock()
-    free_at = [clock.now()] * servers  # a heap of replica free instants
+    free_at = [0.0] * servers  # a heap of replica free instants
+    responses: list[ServeResponse] = []
 
     def serve(
         batch: list[TimedRequest], at: float
@@ -313,16 +231,15 @@ def replay(
             finish = start + response.seconds if response.status == "ok" else start
             heapreplace(free_at, finish)
             out.append((response, start, finish))
+            responses.append(response)
         return out
 
-    ledger, responses, shed_ids = _run(
-        trace, lambda request: "", serve, clock,
-        queue_limit, slo_s, max_batch, max_wait_s,
-    )
+    core = BatchCore(serve, None, queue_limit, slo_s, max_batch, max_wait_s)
+    shed_ids = _feed(core, trace)
     return ReplayResult(
         responses=responses,
         shed_ids=shed_ids,
-        stats=ledger.stats(servers=servers),
+        stats=core.ledger.stats(servers=servers),
         service_snapshot=service.snapshot(),
     )
 
@@ -367,9 +284,8 @@ def routed_replay(
     slo_s: float | None = None,
     max_batch: int = 32,
     max_wait_s: float = 0.0,
-    clock: VirtualClock | None = None,
 ) -> RoutedReplayResult:
-    """Replay a trace through a replica pool on the virtual clock.
+    """Replay a trace through a replica pool on modelled time.
 
     Arrivals shard by hardware configuration and each flush is one
     :meth:`~repro.serve.router.ReplicaRouter.route_priced` call, where
@@ -377,7 +293,7 @@ def routed_replay(
     ``replica.*`` sites decide which replica serves and when it finishes.
     Replica-side backlog counts toward admission depth, so replica
     outages backpressure the front door.  Everything is driven by seeded
-    hashes on the virtual clock: two processes replaying the same (trace,
+    hashes on modelled time: two processes replaying the same (trace,
     router config, fault plan) produce bit-identical results.
     """
     outcomes: list[RoutedOutcome] = []
@@ -392,15 +308,15 @@ def routed_replay(
         outcomes.extend(routed)
         return [(o.response, o.start, o.finish) for o in routed]
 
-    ledger, responses, shed_ids = _run(
-        trace, router.shard_key, serve, clock or VirtualClock(),
-        queue_limit, slo_s, max_batch, max_wait_s,
+    core = BatchCore(
+        serve, router.shard_key, queue_limit, slo_s, max_batch, max_wait_s
     )
+    shed_ids = _feed(core, trace)
     return RoutedReplayResult(
-        responses=responses,
+        responses=[o.response for o in outcomes],
         outcomes=outcomes,
         shed_ids=shed_ids,
-        stats=ledger.stats(servers=len(router.replicas)),
+        stats=core.ledger.stats(servers=len(router.replicas)),
         router_stats=router.stats.as_dict(),
         router_snapshot=router.snapshot(),
     )

@@ -1,10 +1,11 @@
 """Overload policies and run accounting shared by the server and replay.
 
-Free-standing objects the service consults per request: queue-bounded
-admission control, a consecutive-failure circuit breaker, and
+Free-standing objects: queue-bounded admission control, a
+consecutive-failure circuit breaker (consulted by the service), and
 :class:`ServingLedger`, which collects per-request timelines and renders
-a run as one :class:`ServingStats` aggregate — the same shape whether
-the run was live (``ServeApp``) or replayed on the virtual clock
+a run as one :class:`ServingStats` aggregate.  Admission and the ledger
+are driven by the batching core of :mod:`repro.serve.batcher`, whether
+the run is live (``ServeApp``) or a trace replay
 (:mod:`repro.serve.loadgen`), so dashboards and invariant checks
 (``offered == admitted + shed``) apply to both.
 """
@@ -184,9 +185,9 @@ class AdmissionController:
     """Queue-bounded admission: shed when ``depth >= queue_limit``.
 
     ``queue_limit=None`` admits everything (accounting still runs).  The
-    caller reports depth transitions (:meth:`enqueued` /
-    :meth:`started`), so the controller works for both the asyncio
-    batcher queue and the replay harness's virtual queue.
+    caller reports depth transitions (:meth:`admit` /
+    :meth:`started`); the batching core does so for the live server and
+    the replay alike.
     """
 
     def __init__(self, queue_limit: int | None = None) -> None:

@@ -1,11 +1,11 @@
 """The replica-pool front end: shard, dispatch, retry, hedge, survive.
 
 :class:`ReplicaRouter` runs a pool of prediction-service replicas behind
-one ``handle_batch`` interface and makes the endpoint survive replica
-failure:
+one routing call per shard's micro-batch and makes the endpoint survive
+replica failure:
 
 * **Sharding** — requests are routed by hardware configuration over a
-  consistent-hash ring (each replica holds ``ring_weight`` virtual
+  consistent-hash ring (each replica holds :data:`RING_WEIGHT` virtual
   nodes), so repeat traffic for one configuration lands on the same
   replica (warm selection caches) and the ring's walk order doubles as
   the deterministic **spillover** order when that replica is down.
@@ -17,22 +17,24 @@ failure:
   budget (``arrival + deadline_s``) that is checked at every hop: a
   failed dispatch (replica crash, hang, transport error) is retried with
   exponential backoff on a *different* replica while budget remains, and
-  in priced (virtual-clock) mode a request whose projected queue wait
-  exceeds ``hedge_after_s`` is hedged — dispatched a second time on the
-  next replica, first finish wins, both replicas pay the capacity.
+  in priced routing a request whose projected queue wait exceeds
+  ``hedge_after_s`` is hedged — dispatched a second time on the next
+  replica, first finish wins, both replicas pay the capacity.
 * **Drain / restart** — :meth:`drain` removes a replica from rotation
   (in-flight work finishes; no new dispatches), :meth:`rejoin` brings it
   back through the half-open gate.
 
-The router runs in two modes sharing one dispatch/health core:
-``handle_batch`` (wall clock — the asyncio server's batch handler) and
-``route_priced`` (virtual clock — the deterministic routed replay in
-:func:`repro.serve.loadgen.routed_replay`, where each replica is a
-single-server queue and every latency is derived from engine-priced
-service times).  The :mod:`repro.faults` sites ``replica.crash``,
-``replica.hang``, ``replica.slow`` and ``probe.drop`` fire at dispatch
-and probe points keyed by per-replica ordinals, so chaos runs are
-bit-reproducible.
+The batching core (:mod:`repro.serve.batcher`) shards on
+:meth:`ReplicaRouter.shard_key`, and each shard's flush is one call into
+one dispatch/health path.  :meth:`~ReplicaRouter.route_priced` prices it
+on modelled queues, where each replica is a single-server queue and every
+latency is derived from engine-priced service times (the deterministic
+:func:`repro.serve.loadgen.routed_replay`);
+:meth:`~ReplicaRouter.route_live` lets wall time elapse instead (the live
+:class:`~repro.serve.server.ServeApp`).  The :mod:`repro.faults` sites
+``replica.crash``, ``replica.hang``, ``replica.slow`` and ``probe.drop``
+fire at dispatch and probe points keyed by per-replica ordinals, so
+chaos runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from typing import Iterable, Sequence
 from repro import faults, obs
 from repro.errors import ServeError
 from repro.faults.plan import _hash_unit
-from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.health import DRAINING, HEALTHY, ReplicaHealth
 from repro.serve.protocol import ServeRequest, ServeResponse
 from repro.serve.service import PredictionService
@@ -53,6 +54,9 @@ from repro.serve.service import PredictionService
 #: modeled service time (the passive latency signal the health tracker
 #: degrades on).
 SLOW_FACTOR = 10.0
+
+#: Seeded virtual nodes each replica holds on the consistent-hash ring.
+RING_WEIGHT = 32
 
 
 class ReplicaError(ServeError):
@@ -179,7 +183,6 @@ class ReplicaRouter:
     def __init__(
         self,
         replicas: Sequence[ReplicaHandle],
-        clock: Clock | None = None,
         seed: int = 0,
         deadline_s: float | None = None,
         max_retries: int = 2,
@@ -187,8 +190,6 @@ class ReplicaRouter:
         hedge_after_s: float | None = None,
         dispatch_timeout_s: float = 1.0,
         probe_interval_s: float | None = None,
-        spill_wait_s: float | None = None,
-        ring_weight: int = 32,
         health_kwargs: dict | None = None,
     ) -> None:
         if not replicas:
@@ -208,10 +209,7 @@ class ReplicaRouter:
             raise ServeError("dispatch_timeout_s must be positive")
         if probe_interval_s is not None and probe_interval_s <= 0:
             raise ServeError("probe_interval_s must be positive")
-        if ring_weight < 1:
-            raise ServeError(f"ring_weight must be >= 1, got {ring_weight}")
         self.replicas: dict[str, ReplicaHandle] = {r.name: r for r in replicas}
-        self.clock = clock or MonotonicClock()
         self.seed = seed
         self.deadline_s = deadline_s
         self.max_retries = max_retries
@@ -219,7 +217,6 @@ class ReplicaRouter:
         self.hedge_after_s = hedge_after_s
         self.dispatch_timeout_s = dispatch_timeout_s
         self.probe_interval_s = probe_interval_s
-        self.spill_wait_s = spill_wait_s
         self.stats = RouterStats()
         self.health: dict[str, ReplicaHealth] = {
             name: ReplicaHealth(name, seed=seed, **(health_kwargs or {}))
@@ -231,10 +228,10 @@ class ReplicaRouter:
         self._probe_seq: dict[str, int] = {name: 0 for name in names}
         first = probe_interval_s if probe_interval_s is not None else 0.0
         self._next_probe: dict[str, float] = {name: first for name in names}
-        # the ring: ring_weight seeded virtual nodes per replica
+        # the ring: RING_WEIGHT seeded virtual nodes per replica
         points: list[tuple[float, str]] = []
         for name in names:
-            for v in range(ring_weight):
+            for v in range(RING_WEIGHT):
                 points.append(
                     (_hash_unit(seed, "router.ring", f"{name}:{v}"), name)
                 )
@@ -355,11 +352,11 @@ class ReplicaRouter:
         self.health[name].drain()
         obs.count("router.drains")
 
-    def rejoin(self, name: str, now: float | None = None) -> None:
+    def rejoin(self, name: str, now: float) -> None:
         """Bring a drained replica back through the half-open gate."""
         if name not in self.health:
             raise ServeError(f"unknown replica {name!r}")
-        self.health[name].rejoin(self.clock.now() if now is None else now)
+        self.health[name].rejoin(now)
 
     def backlog(self, now: float) -> int:
         """Priced-mode queue depth: requests dispatched but unfinished."""
@@ -371,7 +368,7 @@ class ReplicaRouter:
         return total
 
     # ------------------------------------------------------------------ #
-    # the dispatch core (shared by both modes)
+    # the dispatch path
     # ------------------------------------------------------------------ #
     def _attempt(
         self, name: str, requests: list[ServeRequest], at: float
@@ -434,39 +431,7 @@ class ReplicaRouter:
             self.stats.completed_direct += 1
 
     # ------------------------------------------------------------------ #
-    # wall-clock mode: the asyncio server's batch handler
-    # ------------------------------------------------------------------ #
-    def handle_batch(
-        self, requests: list[ServeRequest]
-    ) -> list[ServeResponse]:
-        """Route one micro-batch now; arrivals default to dispatch time."""
-        now = self.clock.now()
-        return self.handle_timed_batch([(now, r) for r in requests])
-
-    def handle_timed_batch(
-        self, timed: list[tuple[float, ServeRequest]]
-    ) -> list[ServeResponse]:
-        """Wall-clock routing with real arrival instants (deadline budgets
-        run from arrival).  Sharding, retries and health signals are the
-        priced path's; queue pricing and hedging are not (real time just
-        elapses)."""
-        now = self.clock.now()
-        self.run_probes(now)
-        out: list[ServeResponse | None] = [None] * len(timed)
-        groups: dict[str, list[int]] = {}
-        for i, (_, request) in enumerate(timed):
-            groups.setdefault(self.preferred(request), []).append(i)
-        for preferred, indices in groups.items():
-            batch = [timed[i] for i in indices]
-            outcomes = self._route_group(batch, preferred, now, priced=False)
-            for i, outcome in zip(indices, outcomes):
-                self._classify(outcome)
-                out[i] = outcome.response
-        assert all(r is not None for r in out)
-        return [r for r in out if r is not None]
-
-    # ------------------------------------------------------------------ #
-    # priced (virtual-clock) mode: the routed replay's engine
+    # routing one shard's micro-batch
     # ------------------------------------------------------------------ #
     def route_priced(
         self, batch: list[tuple[float, ServeRequest]], at: float
@@ -480,11 +445,19 @@ class ReplicaRouter:
         """
         if not batch:
             return []
-        preferred = self.preferred(batch[0][1])
-        outcomes = self._route_group(batch, preferred, at, priced=True)
-        for outcome in outcomes:
-            self._classify(outcome)
-        return outcomes
+        return self._route_group(batch, at, priced=True)
+
+    def route_live(
+        self, batch: list[tuple[float, ServeRequest]], now: float
+    ) -> list[RoutedOutcome]:
+        """Route one shard's micro-batch on the wall clock at ``now``.
+
+        Due probes fire first.  Retries, deadline budgets (from each
+        request's arrival) and health signals are :meth:`route_priced`'s;
+        queue pricing and hedging are not, since real time just elapses.
+        """
+        self.run_probes(now)
+        return self._route_group(batch, now, priced=False)
 
     # ------------------------------------------------------------------ #
     def _deadline(self, arrival: float) -> float | None:
@@ -519,11 +492,11 @@ class ReplicaRouter:
     def _route_group(
         self,
         batch: list[tuple[float, ServeRequest]],
-        preferred: str,
         at: float,
         priced: bool,
     ) -> list[RoutedOutcome]:
         key = self.shard_key(batch[0][1])
+        preferred = self.ring_order(key)[0]
         outcomes: list[RoutedOutcome | None] = [None] * len(batch)
         live = list(range(len(batch)))
         tried: list[str] = []
@@ -541,17 +514,6 @@ class ReplicaRouter:
             cands = self._candidates(key, t, tried)
             if not cands:
                 break
-            if (
-                priced
-                and self.spill_wait_s is not None
-                and len(cands) > 1
-                and self._free_at[cands[0]] - t > self.spill_wait_s
-            ):
-                # backpressure spillover: the preferred queue is deep;
-                # stable re-sort by projected wait, ring order breaks ties
-                cands = sorted(
-                    cands, key=lambda n: max(0.0, self._free_at[n] - t)
-                )
             target = cands[0]
             tried.append(target)
             requests = [batch[i][1] for i in live]
@@ -580,16 +542,17 @@ class ReplicaRouter:
                     response=response, preferred=preferred, replica="",
                     attempts=attempts, start=t, finish=t,
                 )
-            return [o for o in outcomes if o is not None]
-        n_attempts = attempts + 1
-        for i, response in zip(live, responses):
-            arrival, request = batch[i]
-            outcomes[i] = self._finish_one(
-                arrival, request, response, key, server, preferred,
-                n_attempts, t, at, slow, priced,
-            )
+        else:
+            for i, response in zip(live, responses):
+                arrival, request = batch[i]
+                outcomes[i] = self._finish_one(
+                    arrival, request, response, key, server, preferred,
+                    attempts + 1, t, at, slow, priced,
+                )
         result = [o for o in outcomes if o is not None]
         assert len(result) == len(batch)
+        for outcome in result:
+            self._classify(outcome)
         return result
 
     def _finish_one(

@@ -1,8 +1,9 @@
 """The ``repro-serve`` asyncio server: NDJSON and HTTP over one port.
 
-:class:`ServeApp` glues the middleware to the service — per-request
-admission against the micro-batcher's queue depth, SLO-accounted
-timelines in a :class:`~repro.serve.middleware.ServingLedger` — and
+:class:`ServeApp` runs the batching core of :mod:`repro.serve.batcher`
+(admission, per-shard micro-batches, SLO-accounted ledger) on the event
+loop's clock, the same core the trace replay drives, and prices each
+flush by reading the wall clock around the backend call.
 :class:`AsyncServeServer` exposes it over a TCP port or a unix socket.
 The transport sniffs the first line of each connection:
 
@@ -23,26 +24,16 @@ import argparse
 import asyncio
 import json
 import sys
-from collections import deque
+import time
 from pathlib import Path
 
 from repro import faults
 from repro.engine.cache import MemoCache
 from repro.engine.executor import EvaluationEngine
 from repro.errors import ProtocolError, ReproError, ServeError
-from repro.serve.batcher import MicroBatcher
-from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.middleware import (
-    AdmissionController,
-    ServingLedger,
-    ServingStats,
-)
-from repro.serve.protocol import (
-    ServeRequest,
-    ServeResponse,
-    error_response,
-    shed_response,
-)
+from repro.serve.batcher import MicroBatcher, TimedRequest
+from repro.serve.middleware import ServingStats
+from repro.serve.protocol import ServeRequest, ServeResponse, error_response
 from repro.serve.router import InProcessReplica, ReplicaRouter
 from repro.serve.service import FALLBACK_POLICIES, PredictionService
 
@@ -70,13 +61,15 @@ def stats_dict(stats: ServingStats) -> dict:
 
 
 class ServeApp:
-    """Admission + ledger + micro-batcher around one backend.
+    """A :class:`MicroBatcher` over one backend, priced on the wall clock.
 
-    The backend is either a single :class:`PredictionService` or a
-    :class:`~repro.serve.router.ReplicaRouter` pool — both answer
-    ``handle_batch`` and ``snapshot``; the router additionally gets the
-    real arrival instants so per-request deadline budgets run from
-    arrival rather than from batch flush.
+    The backend is either a single :class:`PredictionService` (one shard,
+    one ``handle_batch`` per flush) or a
+    :class:`~repro.serve.router.ReplicaRouter` pool, where requests shard
+    on :meth:`~repro.serve.router.ReplicaRouter.shard_key` exactly as in
+    :func:`~repro.serve.loadgen.routed_replay` and each shard's flush is
+    one :meth:`~repro.serve.router.ReplicaRouter.route_live` call, so
+    deadline budgets run from each request's arrival.
     """
 
     def __init__(
@@ -86,44 +79,38 @@ class ServeApp:
         slo_s: float | None = None,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
-        clock: Clock | None = None,
     ) -> None:
         self.service = service
-        self.clock = clock or MonotonicClock()
-        self.admission = AdmissionController(queue_limit)
-        self.ledger = ServingLedger(slo_s=slo_s)
         self.batcher = MicroBatcher(
-            self._run_batch, max_batch=max_batch, max_wait_s=max_wait_s
+            self._price,
+            shard_key=(
+                service.shard_key
+                if isinstance(service, ReplicaRouter)
+                else None
+            ),
+            queue_limit=queue_limit,
+            slo_s=slo_s,
+            max_batch=max_batch,
+            max_wait_s=max_wait_s,
         )
-        self._arrivals: deque[float] = deque()
 
-    # ------------------------------------------------------------------ #
-    def _run_batch(self, requests: list[ServeRequest]) -> list[ServeResponse]:
-        arrivals = [self._arrivals.popleft() for _ in requests]
-        self.admission.started(len(requests))
-        start = self.clock.now()
+    def _price(
+        self, batch: list[TimedRequest], at: float
+    ) -> list[tuple[ServeResponse, float, float]]:
+        """Serve one flush; it starts and finishes when the wall clock says."""
+        start = time.monotonic()  # the event loop's clock
         if isinstance(self.service, ReplicaRouter):
-            responses = self.service.handle_timed_batch(
-                list(zip(arrivals, requests))
+            outcomes = self.service.route_live(
+                [(t.arrival, t.request) for t in batch], start
             )
+            responses = [o.response for o in outcomes]
         else:
-            responses = self.service.handle_batch(requests)
-        finish = self.clock.now()
-        for arrival, response in zip(arrivals, responses):
-            self.ledger.record(arrival, max(arrival, start),
-                               max(arrival, finish))
-            if response.served_by == "fallback":
-                self.ledger.record_fallback()
-        return responses
-
-    async def submit(self, request: ServeRequest) -> ServeResponse:
-        """Admission-checked entry: shed immediately or await the batch."""
-        now = self.clock.now()
-        if not self.admission.admit():
-            self.ledger.record_shed(now)
-            return shed_response(request)
-        self._arrivals.append(now)
-        return await self.batcher.submit(request)
+            responses = self.service.handle_batch([t.request for t in batch])
+        finish = time.monotonic()
+        return [
+            (response, max(t.arrival, start), max(t.arrival, finish))
+            for t, response in zip(batch, responses)
+        ]
 
     def stats(self) -> ServingStats:
         servers = (
@@ -131,12 +118,12 @@ class ServeApp:
             if isinstance(self.service, ReplicaRouter)
             else 1
         )
-        return self.ledger.stats(servers=servers)
+        return self.batcher.core.ledger.stats(servers=servers)
 
     def snapshot(self) -> dict:
         payload = self.service.snapshot()
         payload["serving"] = stats_dict(self.stats())
-        payload["queue_depth"] = self.admission.depth
+        payload["queue_depth"] = self.batcher.core.admission.depth
         return payload
 
 
@@ -239,7 +226,7 @@ class AsyncServeServer:
             request = ServeRequest.from_json(line.decode())
         except (ProtocolError, UnicodeDecodeError) as exc:
             return error_response("", str(exc))
-        return await self.app.submit(request)
+        return await self.app.batcher.submit(request)
 
     # ------------------------------------------------------------------ #
     # minimal HTTP/1.1
@@ -326,7 +313,7 @@ class AsyncServeServer:
             if action == "drain":
                 service.drain(name)
             else:
-                service.rejoin(name)
+                service.rejoin(name, time.monotonic())
         except ServeError as exc:
             await self._http_reply(writer, 400, {"error": str(exc)})
             return
@@ -344,15 +331,18 @@ class AsyncServeServer:
             await self._http_reply(writer, 400, {"error": f"bad JSON: {exc}"})
             return
         batch = payload if isinstance(payload, list) else [payload]
-        out = []
-        for item in batch:
+        answers: list[ServeResponse | asyncio.Future] = []
+        for item in batch:  # submit every item before awaiting any flush
             try:
                 request = ServeRequest.from_dict(item)
             except ProtocolError as exc:
-                out.append(error_response("", str(exc)).to_dict())
-                continue
-            response = await self.app.submit(request)
-            out.append(response.to_dict())
+                answers.append(error_response("", str(exc)))
+            else:
+                answers.append(self.app.batcher.submit(request))
+        out = [
+            (a if isinstance(a, ServeResponse) else await a).to_dict()
+            for a in answers
+        ]
         await self._http_reply(
             writer, 200, out if isinstance(payload, list) else out[0]
         )

@@ -1,9 +1,9 @@
 """Unit tests for the ``repro.serve`` building blocks.
 
-Protocol parsing, clocks, middleware (breaker / admission / ledger),
-micro-batching, trace generation and the SQLite cache tier — each piece
-in isolation, so the integration suite can focus on the assembled
-service.
+Protocol parsing, middleware (breaker / admission / ledger), the
+batching core and its asyncio front end, trace generation and the SQLite
+cache tier — each piece in isolation, so the integration suite can focus
+on the assembled service.
 """
 
 from __future__ import annotations
@@ -26,17 +26,20 @@ from repro.errors import NotFittedError, ProtocolError, ServeError
 from repro.nn.layer import ConvSpec
 from repro.serve import (
     AdmissionController,
+    AsyncServeServer,
+    BatchCore,
     CircuitBreaker,
+    FixedServiceTime,
     MicroBatcher,
-    MonotonicClock,
     PredictionService,
     RequestRecord,
+    ServeApp,
     ServeRequest,
     ServeResponse,
     ServingLedger,
     ServingStats,
+    TimedRequest,
     TraceSpec,
-    VirtualClock,
     error_response,
     generate_trace,
     replay,
@@ -114,26 +117,6 @@ class TestProtocol:
         assert shed_response(request).id == "h"
         err = error_response("e", "boom")
         assert err.status == "error" and err.error == "boom"
-
-
-# ---------------------------------------------------------------------- #
-# clocks
-# ---------------------------------------------------------------------- #
-class TestClocks:
-    def test_virtual_clock_advances_and_refuses_to_rewind(self):
-        clock = VirtualClock()
-        assert clock.now() == 0.0
-        assert clock.advance_to(1.5) == 1.5
-        assert clock.advance(0.5) == 2.0
-        assert clock.advance_to(2.0) == 2.0  # standing still is fine
-        with pytest.raises(ServeError, match="backwards"):
-            clock.advance_to(1.0)
-        with pytest.raises(ServeError):
-            clock.advance(-0.1)
-
-    def test_monotonic_clock_is_nondecreasing(self):
-        clock = MonotonicClock()
-        assert clock.now() <= clock.now()
 
 
 # ---------------------------------------------------------------------- #
@@ -246,8 +229,52 @@ def test_serving_stats_collect_matches_manual_aggregate():
 
 
 # ---------------------------------------------------------------------- #
-# micro-batcher (asyncio)
+# the batching core and its asyncio front end
 # ---------------------------------------------------------------------- #
+def _priced(handler):
+    """A request handler as a flush pricer: served instantly at ``at``."""
+    def price(batch, at):
+        return [(r, at, at) for r in handler([t.request for t in batch])]
+    return price
+
+
+class TestBatchCore:
+    REQ = ServeRequest(spec=SPEC, hw=HW, id="c")
+
+    def test_flush_instant_refuses_to_rewind(self):
+        flushed: list[float] = []
+
+        def price(batch, at):
+            flushed.append(at)
+            return [(ServeResponse(id=t.request.id), at, at) for t in batch]
+
+        core = BatchCore(price, max_batch=1, max_wait_s=0.0)
+        assert core.arrive(TimedRequest(1.5, self.REQ))
+        assert core.arrive(TimedRequest(1.5, self.REQ))  # standing still
+        assert flushed == [1.5, 1.5]
+        with pytest.raises(ServeError, match="backwards"):
+            core.arrive(TimedRequest(1.0, self.REQ))
+        with pytest.raises(ServeError, match="backwards"):
+            core.drain(0.5)
+
+    def test_age_flush_runs_before_a_later_arrival(self):
+        flushes: list[tuple[float, int]] = []
+
+        def price(batch, at):
+            flushes.append((at, len(batch)))
+            return [(ServeResponse(id=t.request.id), at, at) for t in batch]
+
+        core = BatchCore(price, max_batch=8, max_wait_s=0.5)
+        core.arrive(TimedRequest(0.0, self.REQ))
+        core.arrive(TimedRequest(0.5, self.REQ))  # due at 0.5: joins
+        assert core.next_due == 0.5 and flushes == []
+        core.arrive(TimedRequest(0.75, self.REQ))
+        assert flushes == [(0.5, 2)] and core.next_due == 1.25
+        core.flush_due(1.25)
+        assert flushes == [(0.5, 2), (1.25, 1)]
+        assert core.ledger.n_requests == 3 and core.admission.depth == 0
+
+
 class TestMicroBatcher:
     REQ = ServeRequest(spec=SPEC, hw=HW, id="b")
 
@@ -255,7 +282,7 @@ class TestMicroBatcher:
         def handler(requests):
             calls.append(len(requests))
             return [ServeResponse(id=r.id) for r in requests]
-        return handler
+        return _priced(handler)
 
     def test_size_flush_coalesces_one_handler_call(self):
         calls: list[int] = []
@@ -286,18 +313,20 @@ class TestMicroBatcher:
         async def scenario():
             def boom(requests):
                 raise RuntimeError("handler exploded")
-            batcher = MicroBatcher(boom, max_batch=2, max_wait_s=60.0)
+            batcher = MicroBatcher(_priced(boom), max_batch=2,
+                                   max_wait_s=60.0)
             f1 = batcher.submit(self.REQ)
             f2 = batcher.submit(self.REQ)
             results = await asyncio.gather(f1, f2, return_exceptions=True)
-            return results
+            return results, batcher.core.admission.depth
 
-        results = asyncio.run(scenario())
+        results, depth = asyncio.run(scenario())
         assert all(isinstance(r, RuntimeError) for r in results)
+        assert depth == 0  # the failed batch still left the queue
 
     def test_short_handler_reply_is_an_error(self):
         async def scenario():
-            batcher = MicroBatcher(lambda reqs: [], max_batch=1,
+            batcher = MicroBatcher(_priced(lambda reqs: []), max_batch=1,
                                    max_wait_s=60.0)
             return await asyncio.gather(batcher.submit(self.REQ),
                                         return_exceptions=True)
@@ -320,9 +349,84 @@ class TestMicroBatcher:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ServeError):
-            MicroBatcher(lambda reqs: [], max_batch=0)
+            MicroBatcher(_priced(lambda reqs: []), max_batch=0)
         with pytest.raises(ServeError):
-            MicroBatcher(lambda reqs: [], max_wait_s=-1.0)
+            MicroBatcher(_priced(lambda reqs: []), max_wait_s=-1.0)
+
+
+class _CountingService(FixedServiceTime):
+    """A fixed-service backend that records each batch's size."""
+
+    def __init__(self, seconds: float) -> None:
+        super().__init__(seconds)
+        self.calls: list[int] = []
+
+    def handle_batch(self, requests):
+        self.calls.append(len(requests))
+        return super().handle_batch(requests)
+
+
+class TestLiveReplayParity:
+    """The live server and the replay run one batching core."""
+
+    def test_same_burst_same_batches_and_ledger(self):
+        n, max_batch, max_wait_s = 10, 4, 0.01
+        requests = [ServeRequest(spec=SPEC, hw=HW, id=f"p-{i}")
+                    for i in range(n)]
+        replayed = _CountingService(0.001)
+        result = replay(
+            replayed, [TimedRequest(0.0, r) for r in requests],
+            queue_limit=None, max_batch=max_batch, max_wait_s=max_wait_s,
+        )
+
+        live = _CountingService(0.001)
+
+        async def scenario():
+            app = ServeApp(live, queue_limit=None, max_batch=max_batch,
+                           max_wait_s=max_wait_s)
+            # one loop tick: every request is submitted before any awaits
+            futures = [app.batcher.submit(r) for r in requests]
+            await asyncio.gather(*futures)
+            return app.stats()
+
+        stats = asyncio.run(scenario())
+        assert replayed.calls == live.calls == [4, 4, 2]
+        for got in (result.stats, stats):
+            assert (got.n_requests, got.shed, got.fallbacks) == (n, 0, 0)
+
+
+class TestHttpSelect:
+    def test_list_body_is_one_batch(self, tmp_path):
+        service = _CountingService(0.001)
+        sock = tmp_path / "serve.sock"
+        item = {"layer": {"ic": 64, "oc": 64, "ih": 56, "iw": 56,
+                          "kh": 3, "kw": 3, "stride": 1},
+                "hw": {"vlen_bits": 512, "l2_mib": 1.0}}
+        body = json.dumps([dict(item, id=f"h-{i}") for i in range(3)])
+
+        async def scenario():
+            server = AsyncServeServer(
+                ServeApp(service, max_batch=8, max_wait_s=0.05),
+                unix_path=sock,
+            )
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(str(sock))
+                writer.write(
+                    b"POST /v1/select HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(body), body.encode())
+                )
+                await writer.drain()
+                data = await reader.read()
+                writer.close()
+                return json.loads(data.decode().split("\r\n\r\n", 1)[1])
+            finally:
+                await server.stop()
+
+        answers = asyncio.run(scenario())
+        assert [a["id"] for a in answers] == ["h-0", "h-1", "h-2"]
+        assert all(a["status"] == "ok" for a in answers)
+        assert service.calls == [3]
 
 
 # ---------------------------------------------------------------------- #
@@ -404,8 +508,6 @@ class TestHttpErrorPaths:
 
     def _boot(self, tmp_path):
         from repro.engine.executor import EvaluationEngine
-        from repro.serve import AsyncServeServer, ServeApp
-
         service = PredictionService(engine=EvaluationEngine())
         app = ServeApp(service, queue_limit=64, max_batch=8, max_wait_s=0.002)
         return AsyncServeServer(app, unix_path=tmp_path / "serve.sock")
