@@ -6,9 +6,9 @@ accuracy over 5-fold shuffled cross-validation on 448 points).
 
 import numpy as np
 
+from repro.selection.crossval import cross_val_scores
 from repro.selection.dataset import build_dataset
 from repro.selection.forest import RandomForestClassifier
-from repro.selection.predictor import AlgorithmSelector
 
 
 def test_dataset_build(benchmark):
@@ -18,18 +18,30 @@ def test_dataset_build(benchmark):
 
 
 def test_rf_training_cv(benchmark):
-    """5-fold shuffled CV + final fit (the paper's protocol)."""
+    """5-fold shuffled CV + final fit (the paper's protocol).
+
+    Times the forest fits themselves: ``AlgorithmSelector.train`` would
+    be a memo hit once anything earlier in the process trained the same
+    selector.  The forests are ``AlgorithmSelector(n_estimators=60)``'s.
+    """
     ds = build_dataset()
 
-    def train():
-        selector = AlgorithmSelector(n_estimators=60)
-        return selector.train(ds)
+    def forest():
+        return RandomForestClassifier(
+            n_estimators=60, max_depth=10, max_features=6, random_state=0
+        )
 
-    report = benchmark.pedantic(train, rounds=1, iterations=1)
+    def train():
+        scores = cross_val_scores(forest, ds.X, ds.y, k=5, shuffle=True)
+        forest().fit(ds.X, ds.y)
+        return scores
+
+    scores = benchmark.pedantic(train, rounds=1, iterations=1)
+    accs = ", ".join(f"{a:.3f}" for a in scores)
     print()
-    print("RF selector:", report.summary())
+    print(f"RF selector: 5-fold accuracies [{accs}] mean={np.mean(scores):.3f}")
     print("(paper: 92.8% mean accuracy, folds 91-96%)")
-    assert report.mean_accuracy >= 0.88
+    assert np.mean(scores) >= 0.88
 
 
 def test_rf_inference_latency(benchmark):

@@ -10,32 +10,28 @@ genuinely flips with VL/L2 (Figs. 3-8).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.experiments.report import ExperimentResult
-from repro.selection.crossval import accuracy_score, kfold_indices
+from repro.selection.crossval import cross_val_scores
 from repro.selection.dataset import FEATURE_NAMES, build_dataset
 from repro.selection.forest import RandomForestClassifier
+from repro.selection.predictor import AlgorithmSelector
 from repro.utils.tables import Table
 
 
-def _cv_accuracy(X: np.ndarray, y: np.ndarray, seed: int = 0) -> float:
-    scores = []
-    for train, test in kfold_indices(len(X), 5, shuffle=True, random_state=seed):
-        model = RandomForestClassifier(
-            n_estimators=60, max_depth=10, max_features=None, random_state=seed
-        )
-        model.fit(X[train], y[train])
-        scores.append(accuracy_score(y[test], model.predict(X[test])))
-    return float(np.mean(scores))
+#: The cross-validated model: every feature is a candidate at each split.
+_every_feature_forest = partial(
+    RandomForestClassifier,
+    n_estimators=60, max_depth=10, max_features=None, random_state=0,
+)
 
 
 def run(dataset=None) -> ExperimentResult:
-    dataset = dataset or build_dataset()
-    forest = RandomForestClassifier(
-        n_estimators=60, max_depth=10, max_features=6, random_state=0
-    )
-    forest.fit(dataset.X, dataset.y)
+    dataset = build_dataset() if dataset is None else dataset
+    forest = AlgorithmSelector(n_estimators=60).fit(dataset).model
     importances = forest.feature_importances()
 
     table = Table(
@@ -48,8 +44,10 @@ def run(dataset=None) -> ExperimentResult:
     for name, imp in ranked:
         table.add_row([name, imp])
 
-    full_acc = _cv_accuracy(dataset.X, dataset.y)
-    layers_only = _cv_accuracy(dataset.X[:, 2:], dataset.y)
+    full_acc, layers_only = (
+        float(np.mean(cross_val_scores(_every_feature_forest, X, dataset.y)))
+        for X in (dataset.X, dataset.X[:, 2:])
+    )
     hw_importance = float(importances[0] + importances[1])
     table.add_row(["== CV accuracy, all 12 features ==", full_acc])
     table.add_row(["== CV accuracy, layer features only ==", layers_only])

@@ -25,8 +25,7 @@ def selection_figure(
     """Network execution time per policy across the 16-config grid."""
     specs = workload(model)
     if selector is None:
-        selector = AlgorithmSelector()
-        selector.train(build_dataset())
+        selector = AlgorithmSelector().fit(build_dataset())
     labels = {n: get_algorithm(n).label for n in ALGORITHM_NAMES}
     labels["winograd"] = "Winograd*"  # the network policy falls back
     labels["optimal"] = "Optimal"

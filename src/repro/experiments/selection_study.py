@@ -42,7 +42,7 @@ def classifier_zoo() -> dict[str, callable]:
 
 def run(dataset=None) -> ExperimentResult:
     """Cross-validated accuracy of each classifier + the RF selector report."""
-    dataset = dataset or build_dataset()
+    dataset = build_dataset() if dataset is None else dataset
     table = Table(
         ["classifier", "mean_accuracy", "min_fold", "max_fold"],
         title="Paper II §4.3: classifier comparison (5-fold shuffled CV, 448 pts)",

@@ -185,8 +185,9 @@ class Network:
 
         conv_fns = {}
         chosen: dict[int, str] = {}
-        for spec in self.conv_specs():
-            algo = get_algorithm(selector.select(spec, hw))
+        specs = self.conv_specs()
+        for spec, name in zip(specs, selector.select_many([(s, hw) for s in specs])):
+            algo = get_algorithm(name)
             if not algo.applicable(spec):
                 algo = get_algorithm("im2col_gemm6")
             chosen[spec.index] = algo.name

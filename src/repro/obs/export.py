@@ -22,7 +22,7 @@ from typing import Any
 from repro.obs.recorder import Recorder, SpanRecord
 
 #: Aggregated span-tree node: (count, total_ns, child_ns).
-_Node = dict[str, Any]
+_SpanNode = dict[str, Any]
 
 
 # --------------------------------------------------------------------- #
@@ -62,7 +62,7 @@ def to_json(recorder: Recorder, indent: int | None = None) -> str:
 # --------------------------------------------------------------------- #
 # span-tree aggregation + terminal table
 # --------------------------------------------------------------------- #
-def aggregate_spans(spans: list[SpanRecord]) -> dict[tuple[str, ...], _Node]:
+def aggregate_spans(spans: list[SpanRecord]) -> dict[tuple[str, ...], _SpanNode]:
     """Aggregate spans by call path (the chain of span names to the root).
 
     Returns ``path -> {"count", "total_ns", "self_ns", "cat"}`` where
@@ -78,7 +78,7 @@ def aggregate_spans(spans: list[SpanRecord]) -> dict[tuple[str, ...], _Node]:
             cur = by_id.get(cur.parent_id)
         return tuple(reversed(names))
 
-    nodes: dict[tuple[str, ...], _Node] = {}
+    nodes: dict[tuple[str, ...], _SpanNode] = {}
     paths = {s.span_id: path_of(s) for s in spans}
     for s in spans:
         path = paths[s.span_id]

@@ -20,7 +20,6 @@ from repro.selection.crossval import (
     kfold_indices,
     cross_val_scores,
     accuracy_score,
-    confusion_matrix,
 )
 from repro.selection.dataset import (
     SelectionDataset,
@@ -40,7 +39,6 @@ __all__ = [
     "kfold_indices",
     "cross_val_scores",
     "accuracy_score",
-    "confusion_matrix",
     "SelectionDataset",
     "build_dataset",
     "build_searched_dataset",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -40,20 +40,24 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float((y_true == y_pred).mean())
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, labels: Iterable | None = None
-) -> tuple[np.ndarray, list]:
-    """Confusion counts; returns (matrix, label order)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if labels is None:
-        labels = sorted(set(y_true) | set(y_pred))
-    labels = list(labels)
-    index = {l: i for i, l in enumerate(labels)}
-    mat = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        mat[index[t], index[p]] += 1
-    return mat, labels
+def cross_val_predictions(
+    model_factory,
+    X: np.ndarray,
+    y: np.ndarray,
+    k: int = 5,
+    shuffle: bool = True,
+    random_state: int = 0,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(test indices, predictions) per fold from freshly constructed models
+    (the paper's 5-fold shuffled protocol: test folds are unseen in training)."""
+    X = np.asarray(X)
+    y = np.asarray(y)
+    folds = []
+    for train, test in kfold_indices(len(X), k, shuffle, random_state):
+        model = model_factory()
+        model.fit(X[train], y[train])
+        folds.append((test, model.predict(X[test])))
+    return folds
 
 
 def cross_val_scores(
@@ -64,13 +68,6 @@ def cross_val_scores(
     shuffle: bool = True,
     random_state: int = 0,
 ) -> list[float]:
-    """Per-fold accuracy of freshly constructed models (the paper's 5-fold
-    shuffled protocol: test folds are unseen during training)."""
-    X = np.asarray(X)
-    y = np.asarray(y)
-    scores = []
-    for train, test in kfold_indices(len(X), k, shuffle, random_state):
-        model = model_factory()
-        model.fit(X[train], y[train])
-        scores.append(accuracy_score(y[test], model.predict(X[test])))
-    return scores
+    """Per-fold accuracy of :func:`cross_val_predictions`."""
+    folds = cross_val_predictions(model_factory, X, y, k, shuffle, random_state)
+    return [accuracy_score(np.asarray(y)[test], pred) for test, pred in folds]

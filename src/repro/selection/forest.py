@@ -8,10 +8,12 @@ majority voting on small datasets.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.errors import NotFittedError, SelectionError
-from repro.selection.tree import DecisionTreeClassifier
+from repro.selection.tree import DecisionTreeClassifier, NodeArrays
 
 
 class RandomForestClassifier:
@@ -34,7 +36,8 @@ class RandomForestClassifier:
         self.bootstrap = bootstrap
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
-        self.trees_: list[DecisionTreeClassifier] = []
+        self.nodes_: NodeArrays | None = None
+        self.n_features_: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -43,8 +46,8 @@ class RandomForestClassifier:
             raise SelectionError("X and y must be non-empty and equally long")
         rng = np.random.default_rng(self.random_state)
         self.classes_ = np.unique(y)
-        self.trees_ = []
         n = len(X)
+        trees = []
         for t in range(self.n_estimators):
             if self.bootstrap:
                 idx = rng.integers(0, n, size=n)
@@ -56,27 +59,26 @@ class RandomForestClassifier:
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=int(rng.integers(0, 2**31 - 1)),
             )
-            # trees index into the global class set so votes align
             tree.fit(X[idx], y[idx])
-            self.trees_.append(tree)
+            # widen each tree's leaf distributions to the global class set
+            value = np.zeros((len(tree.nodes_.value), len(self.classes_)))
+            value[:, np.searchsorted(self.classes_, tree.classes_)] = tree.nodes_.value
+            trees.append(replace(tree.nodes_, value=value))
+        self.nodes_ = NodeArrays.stack(trees)
+        self.n_features_ = X.shape[1]
         return self
 
     def _check_fitted(self) -> None:
-        if not self.trees_:
+        if self.nodes_ is None:
             raise NotFittedError("RandomForestClassifier is not fitted")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean of per-tree leaf class distributions over the global classes."""
+        """Mean of per-tree leaf class distributions over the global classes
+        (summed in tree order, so the floats match a running sum)."""
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        total = np.zeros((len(X), len(self.classes_)))
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for tree in self.trees_:
-            proba = tree.predict_proba(X)
-            cols = [class_index[c] for c in tree.classes_]
-            total[:, cols] += proba
-        total /= len(self.trees_)
-        return total
+        leaves = self.nodes_.apply(np.asarray(X, dtype=np.float64))
+        per_tree = self.nodes_.value[leaves]  # (rows, trees, classes)
+        return np.add.accumulate(per_tree, axis=1)[:, -1] / len(self.nodes_.roots)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -85,17 +87,8 @@ class RandomForestClassifier:
     def feature_importances(self) -> np.ndarray:
         """Split-frequency feature importances (normalized counts)."""
         self._check_fitted()
-        d = self.trees_[0].n_features_
-        counts = np.zeros(d)
-
-        def _walk(node) -> None:
-            if node is None or node.is_leaf:
-                return
-            counts[node.feature] += 1
-            _walk(node.left)
-            _walk(node.right)
-
-        for tree in self.trees_:
-            _walk(tree._root)
+        internal = self.nodes_.left != np.arange(len(self.nodes_.left))
+        split_on = self.nodes_.feature[internal]
+        counts = np.bincount(split_on, minlength=self.n_features_).astype(np.float64)
         total = counts.sum()
         return counts / total if total else counts

@@ -51,7 +51,5 @@ class KNeighborsClassifier:
         d2 = ((X[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2)
         nearest = np.argsort(d2, axis=1)[:, : self.n_neighbors]
         votes = self._y[nearest]
-        out = np.empty(len(X), dtype=self._y.dtype)
-        for i, row in enumerate(votes):
-            out[i] = np.bincount(row, minlength=len(self.classes_)).argmax()
-        return self.classes_[out]
+        counts = (votes[:, :, None] == np.arange(len(self.classes_))).sum(axis=1)
+        return self.classes_[counts.argmax(axis=1)]

@@ -5,17 +5,23 @@ cross-validation for the reported accuracy, then a final fit on the whole
 dataset for deployment.  Also computes the paper's misprediction metric
 (mean absolute percentage error in *layer time* when the wrong algorithm is
 chosen — 20.4 % in the paper) and full-network slowdowns.
+
+A fit is a pure function of (dataset, hyperparameters), so the fitted
+forest and its report are memoized per process on both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import threading
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import NotFittedError
+from repro.errors import NotFittedError, SelectionError
 from repro.nn.layer import ConvSpec
-from repro.selection.crossval import accuracy_score, kfold_indices
+from repro.selection.crossval import accuracy_score, cross_val_predictions
 from repro.selection.dataset import SelectionDataset, build_dataset
 from repro.selection.forest import RandomForestClassifier
 from repro.simulator.hwconfig import HardwareConfig
@@ -42,8 +48,28 @@ class SelectorReport:
         )
 
 
+@dataclass
+class _Trained:
+    """The forest fitted on a whole dataset, and its report once trained."""
+
+    model: RandomForestClassifier
+    report: SelectorReport | None = None
+
+
+def _content_digest(dataset: SelectionDataset) -> str:
+    """sha256 of everything a training reads from ``dataset``."""
+    head = repr((dataset.X.shape, dataset.algorithm_names, dataset.y.tolist()))
+    body = dataset.X.tobytes() + dataset.cycles.tobytes()
+    return hashlib.sha256(head.encode() + body).hexdigest()
+
+
 class AlgorithmSelector:
     """Per-layer convolution-algorithm selection (Paper II §4.3)."""
+
+    #: Process-wide memo keyed on (dataset digest, n_estimators, max_depth,
+    #: max_features, random_state); entries are shared, so read-only.
+    _memo: ClassVar[dict[tuple, _Trained]] = {}
+    _lock: ClassVar[threading.Lock] = threading.Lock()
 
     def __init__(
         self,
@@ -55,66 +81,62 @@ class AlgorithmSelector:
         # hyperparameters tuned as in Paper II §4.3: depth-10 trees with
         # bootstrapping; half the 12 features per split balances fit and
         # fold-to-fold variance on the 448-point dataset
-        self.model = RandomForestClassifier(
+        self._params = dict(
             n_estimators=n_estimators,
             max_depth=max_depth,
             max_features=max_features,
-            bootstrap=True,
             random_state=random_state,
         )
-        self.random_state = random_state
-        self._fitted = False
+        self.model = self._forest()
+        self._trained: _Trained | None = None
         self.report: SelectorReport | None = None
 
     # ------------------------------------------------------------------ #
-    def train(self, dataset: SelectionDataset | None = None) -> SelectorReport:
-        """Cross-validate (5-fold, shuffled) then fit on the full dataset."""
-        dataset = dataset or build_dataset()
-        X, y = dataset.X, dataset.y
-        fold_accs: list[float] = []
-        regrets: list[float] = []
-        for train, test in kfold_indices(
-            len(X), k=5, shuffle=True, random_state=self.random_state
-        ):
-            model = RandomForestClassifier(
-                n_estimators=self.model.n_estimators,
-                max_depth=self.model.max_depth,
-                max_features=self.model.max_features,
-                random_state=self.random_state,
-            )
-            model.fit(X[train], y[train])
-            pred = model.predict(X[test])
-            fold_accs.append(accuracy_score(y[test], pred))
-            for row, p in zip(test, pred):
-                if p != y[row]:
-                    regrets.append(dataset.regret(int(row), str(p)))
-        self.model.fit(X, y)
-        self._fitted = True
-        self.report = SelectorReport(
-            fold_accuracies=fold_accs,
-            misprediction_mape=float(np.mean(regrets)) if regrets else 0.0,
-            n_points=len(X),
-        )
-        return self.report
+    def _forest(self) -> RandomForestClassifier:
+        return RandomForestClassifier(bootstrap=True, **self._params)
 
     def fit(self, dataset: SelectionDataset | None = None) -> "AlgorithmSelector":
         """Fit on the full dataset without cross-validation.
 
-        The deployment path (``repro-serve`` startup) wants the final
-        model only; :meth:`train` additionally runs the paper's 5-fold
-        protocol to produce a :class:`SelectorReport`.
+        The deployment path (``repro-serve`` startup) and the network
+        figures want the final model only; :meth:`train` additionally runs
+        the paper's 5-fold protocol to produce a :class:`SelectorReport`.
         """
-        dataset = dataset or build_dataset()
-        self.model.fit(dataset.X, dataset.y)
-        self._fitted = True
+        dataset = build_dataset() if dataset is None else dataset
+        if len(dataset) == 0:
+            raise SelectionError("cannot train the selector on an empty dataset")
+        key = (_content_digest(dataset), *self._params.values())
+        with self._lock:  # racing selectors with one key fit once
+            if key not in self._memo:
+                forest = self._forest().fit(dataset.X, dataset.y)
+                self._memo[key] = _Trained(forest)
+            self._trained = self._memo[key]
+        self.model = self._trained.model
         return self
 
-    # ------------------------------------------------------------------ #
-    def features(self, spec: ConvSpec, hw: HardwareConfig) -> np.ndarray:
-        return np.asarray(
-            [[float(hw.vlen_bits), float(hw.l2_mib)] + spec.features()]
-        )
+    def train(self, dataset: SelectionDataset | None = None) -> SelectorReport:
+        """Cross-validate (5-fold, shuffled) then fit on the full dataset."""
+        dataset = build_dataset() if dataset is None else dataset
+        trained = self.fit(dataset)._trained
+        with self._lock:
+            if trained.report is None:
+                folds = cross_val_predictions(
+                    self._forest, dataset.X, dataset.y,
+                    random_state=self._params["random_state"],
+                )
+                regrets = [
+                    dataset.regret(int(row), str(p))
+                    for test, pred in folds
+                    for row, p in zip(test, pred)
+                    if p != dataset.y[row]
+                ]
+                accs = [accuracy_score(dataset.y[test], p) for test, p in folds]
+                mape = float(np.mean(regrets)) if regrets else 0.0
+                trained.report = SelectorReport(accs, mape, len(dataset))
+        self.report = trained.report
+        return self.report
 
+    # ------------------------------------------------------------------ #
     def features_many(
         self, pairs: list[tuple[ConvSpec, HardwareConfig]]
     ) -> np.ndarray:
@@ -128,27 +150,19 @@ class AlgorithmSelector:
 
     def select(self, spec: ConvSpec, hw: HardwareConfig) -> str:
         """Predict the best algorithm for one layer on one configuration."""
-        if not self._fitted:
-            raise NotFittedError("AlgorithmSelector.train() has not been called")
-        return str(self.model.predict(self.features(spec, hw))[0])
+        return self.select_many([(spec, hw)])[0]
 
     def select_many(
         self, pairs: list[tuple[ConvSpec, HardwareConfig]]
     ) -> list[str]:
         """Batched :meth:`select`: one model pass over many queries.
 
-        The serving micro-batcher (:mod:`repro.serve`) routes whole
-        batches through here so the per-request selection cost is one
-        forest traversal, not one model call per request.
+        The serving micro-batcher (:mod:`repro.serve`) and the network
+        policies route whole batches through here so the selection cost
+        is one forest traversal, not one model call per query.
         """
-        if not self._fitted:
+        if self._trained is None:
             raise NotFittedError("AlgorithmSelector.train() has not been called")
         if not pairs:
             return []
         return [str(p) for p in self.model.predict(self.features_many(pairs))]
-
-    def select_network(
-        self, specs: list[ConvSpec], hw: HardwareConfig
-    ) -> dict[int, str]:
-        """Per-layer predictions keyed by the layer's conv ordinal."""
-        return {spec.index: self.select(spec, hw) for spec in specs}

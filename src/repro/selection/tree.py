@@ -3,6 +3,9 @@
 Split search is vectorized: for each candidate feature the samples are
 sorted once and impurity is evaluated at every boundary between distinct
 values via prefix sums — no Python-level loop over thresholds.
+
+Fitted trees are flat :class:`NodeArrays`, whose one level-synchronous
+walk serves the classifier, the regressor and the random forest.
 """
 
 from __future__ import annotations
@@ -14,20 +17,46 @@ import numpy as np
 from repro.errors import NotFittedError, SelectionError
 
 
-@dataclass
-class _Node:
-    """A tree node; leaves carry a prediction payload."""
+@dataclass(frozen=True)
+class NodeArrays:
+    """Fitted trees as flat node arrays, each tree's nodes in preorder.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    # leaf payload
-    value: np.ndarray | None = None  # class counts (clf) or [mean] (reg)
+    Internal node ``i`` sends row ``x`` to ``left[i]`` if
+    ``x[feature[i]] <= threshold[i]``, else to ``right[i]``; a leaf points
+    to itself on both sides.  ``value[i]`` is the class distribution or
+    ``[mean]`` of the node's training rows; ``depth`` is the deepest leaf.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf reached by every row in every tree, shape (rows, trees)."""
+        nodes = np.broadcast_to(self.roots, (len(X), len(self.roots)))
+        rows = np.arange(len(X))[:, None]
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            nodes = np.where(go_left, self.left[nodes], self.right[nodes])
+        return nodes
+
+    @classmethod
+    def stack(cls, parts: list["NodeArrays"]) -> "NodeArrays":
+        """The trees of ``parts``, in order, in one node space."""
+        offsets = np.cumsum([0] + [len(p.left) for p in parts[:-1]])
+        return cls(
+            feature=np.concatenate([p.feature for p in parts]),
+            threshold=np.concatenate([p.threshold for p in parts]),
+            left=np.concatenate([p.left + o for p, o in zip(parts, offsets)]),
+            right=np.concatenate([p.right + o for p, o in zip(parts, offsets)]),
+            value=np.concatenate([p.value for p in parts]),
+            roots=np.concatenate([p.roots + o for p, o in zip(parts, offsets)]),
+            depth=max(p.depth for p in parts),
+        )
 
 
 def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -61,9 +90,7 @@ class _BaseTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._root: _Node | None = None
-        self._rng = np.random.default_rng(random_state)
-        self.n_features_: int | None = None
+        self.nodes_: NodeArrays | None = None
 
     # hooks implemented by subclasses ----------------------------------- #
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
@@ -79,7 +106,7 @@ class _BaseTree:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    def _feature_candidates(self, d: int) -> np.ndarray:
+    def _feature_candidates(self, d: int, rng: np.random.Generator) -> np.ndarray:
         if self.max_features is None:
             return np.arange(d)
         if self.max_features == "sqrt":
@@ -88,10 +115,14 @@ class _BaseTree:
             k = min(d, max(1, self.max_features))
         else:
             raise SelectionError(f"bad max_features {self.max_features!r}")
-        return self._rng.choice(d, size=k, replace=False)
+        return rng.choice(d, size=k, replace=False)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=self._leaf_value(y))
+    def _grow(self, X, y, depth: int, rng, nodes: list) -> int:
+        """Append the subtree for (X, y) to ``nodes`` in preorder; return its id."""
+        node = len(nodes)
+        value = self._leaf_value(y)
+        # [feature, threshold, left, right, depth, value]: a leaf unless split
+        nodes.append([0, 0.0, node, node, depth, value])
         if (
             depth >= self.max_depth
             or len(y) < self.min_samples_split
@@ -99,7 +130,7 @@ class _BaseTree:
         ):
             return node
         best = None  # (gain, feature, threshold)
-        for f in self._feature_candidates(X.shape[1]):
+        for f in self._feature_candidates(X.shape[1], rng):
             col = X[:, f]
             order = np.argsort(col, kind="stable")
             found = self._split_gain(col[order], y[order])
@@ -114,13 +145,14 @@ class _BaseTree:
         mask = X[:, f] <= thr
         if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
             return node
-        node.feature = int(f)
-        node.threshold = float(thr)
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
+        left = self._grow(X[mask], y[mask], depth + 1, rng, nodes)
+        right = self._grow(X[~mask], y[~mask], depth + 1, rng, nodes)
+        nodes[node] = [int(f), float(thr), left, right, depth, value]
         return node
 
-    def _check_fit_inputs(self, X: np.ndarray, y: np.ndarray) -> tuple:
+    def fit(self, X: np.ndarray, y: np.ndarray):
+        """Grow :attr:`nodes_` depth-first, left first, with the RNG seeded
+        here: a refit is a pure function of (data, hyperparameters)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2:
@@ -129,50 +161,33 @@ class _BaseTree:
             raise SelectionError(f"X has {len(X)} rows but y has {len(y)}")
         if len(X) == 0:
             raise SelectionError("cannot fit on an empty dataset")
-        return X, y
+        nodes: list = []
+        rng = np.random.default_rng(self.random_state)
+        self._grow(X, y, 0, rng, nodes)
+        feature, threshold, left, right, depth, value = map(np.array, zip(*nodes))
+        self.nodes_ = NodeArrays(
+            feature, threshold, left, right, value,
+            roots=np.zeros(1, dtype=np.intp), depth=int(depth.max()),
+        )
+        return self
 
-    def _leaf_for(self, x: np.ndarray) -> _Node:
-        if self._root is None:
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        if self.nodes_ is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
-    def depth(self) -> int:
-        """Actual depth of the grown tree (root = depth 0)."""
-        def _d(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(_d(node.left), _d(node.right))
-        if self._root is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
-        return _d(self._root)
-
-    def node_count(self) -> int:
-        """Total node count of the grown tree."""
-        def _c(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            return 1 + _c(node.left) + _c(node.right)
-        if self._root is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
-        return _c(self._root)
+        return self.nodes_.apply(np.asarray(X, dtype=np.float64))[:, 0]
 
 
 class DecisionTreeClassifier(_BaseTree):
     """CART classifier with Gini impurity."""
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        X, y = self._check_fit_inputs(X, y)
         self.classes_, y_enc = np.unique(y, return_inverse=True)
         self._n_classes = len(self.classes_)
-        self.n_features_ = X.shape[1]
-        self._root = self._grow(X, y_enc, 0)
-        return self
+        return super().fit(X, y_enc)
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(y, minlength=self._n_classes).astype(np.float64)
+        counts = np.bincount(y, minlength=self._n_classes).astype(np.float64)
+        return counts / counts.sum()
 
     def _node_impurity(self, y: np.ndarray) -> float:
         counts = np.bincount(y, minlength=self._n_classes)
@@ -204,33 +219,19 @@ class DecisionTreeClassifier(_BaseTree):
         return float(gain[best]), float((x[i] + x[i + 1]) / 2.0)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            raise NotFittedError("DecisionTreeClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros((len(X), self._n_classes))
-        for i, row in enumerate(X):
-            counts = self._leaf_for(row).value
-            out[i] = counts / counts.sum()
-        return out
+        leaves = self._leaves(X)
+        return self.nodes_.value[leaves]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
-
-    def leaf_counts(self, x: np.ndarray) -> np.ndarray:
-        """Raw class counts at the leaf reached by one sample (for forests)."""
-        return self._leaf_for(np.asarray(x, dtype=np.float64)).value
 
 
 class DecisionTreeRegressor(_BaseTree):
     """CART regressor with variance (MSE) reduction."""
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        X, y = self._check_fit_inputs(X, y)
-        y = np.asarray(y, dtype=np.float64)
-        self.n_features_ = X.shape[1]
-        self._root = self._grow(X, y, 0)
-        return self
+        return super().fit(X, np.asarray(y, dtype=np.float64))
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([y.mean()])
@@ -260,5 +261,5 @@ class DecisionTreeRegressor(_BaseTree):
         return float(gain[best]), float((x[i] + x[i + 1]) / 2.0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return np.array([self._leaf_for(row).value[0] for row in X])
+        leaves = self._leaves(X)
+        return self.nodes_.value[leaves, 0]

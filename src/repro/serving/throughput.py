@@ -40,27 +40,26 @@ def network_cycles(
     ``"predicted"`` (the trained :class:`AlgorithmSelector` decides; layers
     the predicted algorithm cannot run fall back like Winograd*).
     """
+    if policy == "predicted":
+        if selector is None:
+            raise ExperimentError("policy 'predicted' needs a trained selector")
+        names = selector.select_many([(spec, hw) for spec in specs])
+    elif policy in ALGORITHM_NAMES:
+        names = [policy] * len(specs)
+    elif policy != "optimal":
+        raise ExperimentError(
+            f"unknown policy {policy!r}; use an algorithm name, "
+            f"'optimal' or 'predicted'"
+        )
     per_layer: dict[int, float] = {}
     chosen: dict[int, str] = {}
-    for spec in specs:
+    for i, spec in enumerate(specs):
         if policy == "optimal":
             name, cycles = best_algorithm(spec, hw)
             per_layer[spec.index] = cycles[name]
             chosen[spec.index] = name
-        elif policy == "predicted":
-            if selector is None:
-                raise ExperimentError("policy 'predicted' needs a trained selector")
-            name = selector.select(spec, hw)
-            result = layer_cycles(name, spec, hw, fallback=True)
-            per_layer[spec.index] = result.cycles
-            chosen[spec.index] = result.algorithm
-        elif policy in ALGORITHM_NAMES:
-            result = layer_cycles(policy, spec, hw, fallback=True)
-            per_layer[spec.index] = result.cycles
-            chosen[spec.index] = result.algorithm
         else:
-            raise ExperimentError(
-                f"unknown policy {policy!r}; use an algorithm name, "
-                f"'optimal' or 'predicted'"
-            )
+            result = layer_cycles(names[i], spec, hw, fallback=True)
+            per_layer[spec.index] = result.cycles
+            chosen[spec.index] = result.algorithm
     return NetworkTime(policy=policy, per_layer=per_layer, chosen=chosen)

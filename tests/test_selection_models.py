@@ -73,14 +73,14 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
         tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert tree.depth() == 1
+        assert tree.nodes_.depth == 1
         assert (tree.predict(X) == y).all()
 
     def test_max_depth_respected(self, rng):
         X = rng.random((200, 4))
         y = (X.sum(axis=1) > 2).astype(int)
         tree = DecisionTreeClassifier(max_depth=3, random_state=0).fit(X, y)
-        assert tree.depth() <= 3
+        assert tree.nodes_.depth <= 3
 
     def test_deterministic_given_seed(self, rng):
         X, y = blobs(rng)
@@ -88,17 +88,26 @@ class TestDecisionTree:
         t2 = DecisionTreeClassifier(max_depth=6, max_features="sqrt", random_state=5)
         np.testing.assert_array_equal(t1.fit(X, y).predict(X), t2.fit(X, y).predict(X))
 
+    def test_refit_is_deterministic(self, rng):
+        """A fit is a pure function of (data, hyperparameters)."""
+        X = rng.random((200, 6))
+        y = (X[:, 0] + 0.5 * rng.random(200) > 0.7).astype(int)
+        probe = rng.random((300, 6))
+        tree = DecisionTreeClassifier(max_features=3, random_state=0)
+        first = tree.fit(X, y).predict_proba(probe)
+        np.testing.assert_array_equal(tree.fit(X, y).predict_proba(probe), first)
+
     def test_pure_node_is_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1, 1, 1])
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
-        assert tree.node_count() == 1
+        assert len(tree.nodes_.left) == 1
 
     def test_constant_features_become_leaf(self):
         X = np.ones((10, 3))
         y = np.array([0, 1] * 5)
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
-        assert tree.node_count() == 1  # no valid split exists
+        assert len(tree.nodes_.left) == 1  # no valid split exists
 
     def test_predict_proba_sums_to_one(self, rng):
         X, y = blobs(rng)

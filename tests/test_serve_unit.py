@@ -661,7 +661,7 @@ class TestSelectorBatchAPI:
         pairs = [(SPEC, HW), (SPEC, HardwareConfig.paper2_rvv(256, 0.5))]
         X = trained_selector.features_many(pairs)
         assert X.shape == (2, 12)
-        assert (X[0] == trained_selector.features(SPEC, HW)[0]).all()
+        assert X[0].tolist() == [float(HW.vlen_bits), float(HW.l2_mib)] + SPEC.features()
 
 
 # ---------------------------------------------------------------------- #
